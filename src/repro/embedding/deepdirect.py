@@ -86,7 +86,8 @@ class EmbeddingResult:
         ``M``: one ``l``-dimensional row per oriented tie id.
     contexts:
         ``N``: the connection vectors (used only during training; kept
-        for inspection and incremental retraining).
+        for inspection and incremental retraining).  ``None`` on a
+        result restored from a model artifact, which omits ``N``.
     classifier_weights, classifier_bias:
         The jointly trained logistic head ``(w', b')`` — the warm start
         for the D-Step.
@@ -97,7 +98,7 @@ class EmbeddingResult:
     """
 
     embeddings: np.ndarray
-    contexts: np.ndarray
+    contexts: np.ndarray | None
     classifier_weights: np.ndarray
     classifier_bias: float
     loss_history: list[tuple[int, float]] = field(default_factory=list)

@@ -7,6 +7,9 @@ validated plain-array contract the serving-artifact API
 :func:`repro.serve.load_embedding_artifact`) persists — no pickling,
 every array checked on the way back in.
 
+Arrays keep their trained dtype; ``contexts`` (``N``) is optional and
+a result rebuilt without it has ``contexts=None``.
+
 The bare ``save_embedding`` / ``load_embedding`` helpers that once
 lived here were deprecated in favour of artifact bundles and have been
 removed; see ``docs/serving.md`` and the migration notes in
@@ -21,7 +24,8 @@ import numpy as np
 
 from .deepdirect import EmbeddingResult
 
-#: Array names (and the validation contract) of a saved embedding.
+#: Array names (and the validation contract) of a saved embedding;
+#: only ``contexts`` may be absent.
 EMBEDDING_ARRAY_NAMES = (
     "embeddings",
     "contexts",
@@ -35,16 +39,16 @@ EMBEDDING_ARRAY_NAMES = (
 def embedding_to_arrays(result: EmbeddingResult) -> dict[str, np.ndarray]:
     """Flatten an :class:`EmbeddingResult` into named plain arrays."""
     history = np.asarray(result.loss_history, dtype=float).reshape(-1, 2)
-    return {
-        "embeddings": np.asarray(result.embeddings, dtype=np.float64),
-        "contexts": np.asarray(result.contexts, dtype=np.float64),
-        "classifier_weights": np.asarray(
-            result.classifier_weights, dtype=np.float64
-        ),
+    arrays = {
+        "embeddings": np.asarray(result.embeddings),
+        "classifier_weights": np.asarray(result.classifier_weights),
         "classifier_bias": np.asarray([result.classifier_bias], dtype=float),
         "loss_history": history,
         "n_pairs_trained": np.asarray([result.n_pairs_trained], np.int64),
     }
+    if result.contexts is not None:
+        arrays["contexts"] = np.asarray(result.contexts)
+    return arrays
 
 
 def embedding_from_arrays(
@@ -58,7 +62,7 @@ def embedding_from_arrays(
     archive fails here with a clear message instead of surfacing later
     as a numpy broadcast error.
     """
-    missing = set(EMBEDDING_ARRAY_NAMES) - set(arrays)
+    missing = set(EMBEDDING_ARRAY_NAMES) - {"contexts"} - set(arrays)
     if missing:
         raise ValueError(
             f"{source} is not a saved embedding (missing {sorted(missing)})"
@@ -73,16 +77,20 @@ def embedding_from_arrays(
         )
 
     embeddings = np.asarray(arrays["embeddings"])
-    contexts = np.asarray(arrays["contexts"])
+    contexts = (
+        np.asarray(arrays["contexts"]) if "contexts" in arrays else None
+    )
     weights = np.asarray(arrays["classifier_weights"])
     bias = np.asarray(arrays["classifier_bias"])
     history = np.asarray(arrays["loss_history"])
     n_pairs = np.asarray(arrays["n_pairs_trained"])
 
     for name, arr in (("embeddings", embeddings), ("contexts", contexts)):
-        if arr.ndim != 2 or not np.issubdtype(arr.dtype, np.floating):
+        if arr is not None and (
+            arr.ndim != 2 or not np.issubdtype(arr.dtype, np.floating)
+        ):
             raise _bad(name, "must be a 2-D float matrix")
-    if embeddings.shape != contexts.shape:
+    if contexts is not None and embeddings.shape != contexts.shape:
         raise ValueError(
             f"{source}: embeddings {embeddings.shape} and contexts "
             f"{contexts.shape} must have identical shapes; the archive is "

@@ -7,7 +7,7 @@ ReDirect-N/sm, ReDirect-T/sm) implement :class:`TieDirectionModel`:
 this interface.
 
 Every fitted model can also be frozen to disk as a *serving artifact*
-(:meth:`TieDirectionModel.to_artifact`) — a no-pickle ``.npz`` + JSON
+(:meth:`TieDirectionModel.to_artifact`) — a no-pickle ``.npy`` + JSON
 bundle holding the learned weights, the constructor configuration and a
 content fingerprint of the training network — and restored with
 :meth:`TieDirectionModel.from_artifact` for batch scoring through
@@ -100,14 +100,15 @@ class TieDirectionModel(abc.ABC):
         return params
 
     def _artifact_arrays(self) -> dict[str, np.ndarray]:
-        """Model weights to persist; keys become ``.npz`` array names.
+        """Model weights to persist, each in the dtype it holds; keys
+        become ``weights/<name>.npy`` file names.
 
         The default stores the per-oriented-tie scores, which is enough
         for any model whose ``tie_scores`` returns a cached array.
         Models with reusable parameters (embeddings, classifier heads)
         override this to persist them as well.
         """
-        return {"tie_scores": np.asarray(self.tie_scores(), dtype=np.float64)}
+        return {"tie_scores": np.asarray(self.tie_scores())}
 
     def _restore_artifact(self, arrays: dict, params: dict) -> None:
         """Rehydrate fitted state from :meth:`_artifact_arrays` output."""
@@ -134,7 +135,7 @@ class TieDirectionModel(abc.ABC):
     def to_artifact(self, path: str | os.PathLike) -> None:
         """Write this fitted model as a serving artifact bundle at ``path``.
 
-        The bundle (``artifact.json`` + ``weights.npz``) round-trips the
+        The bundle (``artifact.json`` + ``weights/*.npy``) round-trips the
         learned weights, the constructor configuration, the expanded tie
         set and a dataset fingerprint; see :mod:`repro.serve.artifact`.
         """

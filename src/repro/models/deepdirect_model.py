@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
@@ -175,26 +176,24 @@ class DeepDirectModel(TieDirectionModel):
 
         arrays = super()._artifact_arrays()
         if self.embedding_ is not None:
-            arrays.update(embedding_to_arrays(self.embedding_))
+            # Scoring never reads N, so the artifact leaves it out.
+            arrays.update(
+                embedding_to_arrays(replace(self.embedding_, contexts=None))
+            )
         classifier = self._classifier
         if (
             isinstance(classifier, LogisticRegression)
             and classifier.weights_ is not None
         ):
-            arrays["dstep_weights"] = np.asarray(
-                classifier.weights_, dtype=np.float64
-            )
+            arrays["dstep_weights"] = np.asarray(classifier.weights_)
             arrays["dstep_bias"] = np.asarray([classifier.bias_], dtype=float)
         return arrays
 
     def _restore_artifact(self, arrays: dict, params: dict) -> None:
-        from ..embedding.persistence import (
-            EMBEDDING_ARRAY_NAMES,
-            embedding_from_arrays,
-        )
+        from ..embedding.persistence import embedding_from_arrays
 
         super()._restore_artifact(arrays, params)
-        if all(name in arrays for name in EMBEDDING_ARRAY_NAMES):
+        if "embeddings" in arrays:
             self.embedding_ = embedding_from_arrays(
                 arrays, source="artifact"
             )

@@ -68,7 +68,7 @@ class HFModel(TieDirectionModel):
         arrays = super()._artifact_arrays()
         if self._classifier is not None:
             arrays["classifier_weights"] = np.asarray(
-                self._classifier.weights_, dtype=np.float64
+                self._classifier.weights_
             )
             arrays["classifier_bias"] = np.asarray(
                 [self._classifier.bias_], dtype=float

@@ -69,7 +69,7 @@ class LineModel(TieDirectionModel):
         arrays = super()._artifact_arrays()
         if self.embedding_ is not None:
             arrays["node_embeddings"] = np.asarray(
-                self.embedding_.node_embeddings, dtype=np.float64
+                self.embedding_.node_embeddings
             )
         return arrays
 

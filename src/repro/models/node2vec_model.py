@@ -68,7 +68,7 @@ class Node2VecModel(TieDirectionModel):
         arrays = super()._artifact_arrays()
         if self.embedding_ is not None:
             arrays["node_embeddings"] = np.asarray(
-                self.embedding_.node_embeddings, dtype=np.float64
+                self.embedding_.node_embeddings
             )
             arrays["n_walks"] = np.asarray(
                 [self.embedding_.n_walks], dtype=np.int64

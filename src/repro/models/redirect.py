@@ -318,8 +318,8 @@ class ReDirectNSM(TieDirectionModel):
 
     def _artifact_arrays(self) -> dict[str, np.ndarray]:
         return {
-            "h": np.asarray(self._h, dtype=np.float64),
-            "h_prime": np.asarray(self._h_prime, dtype=np.float64),
+            "h": np.asarray(self._h),
+            "h_prime": np.asarray(self._h_prime),
         }
 
     def _restore_artifact(self, arrays: dict, params: dict) -> None:

@@ -1,13 +1,18 @@
-"""Serving artifacts: a no-pickle on-disk bundle for fitted models.
+"""Serving artifacts: a no-pickle, memory-mapped bundle for fitted models.
 
 An artifact freezes everything a scoring process needs — learned
 weights, constructor configuration, the expanded oriented tie set and a
 content fingerprint of the training network — into one directory::
 
     artifact/
-      artifact.json   # schema, model class, params, dataset fingerprint,
-                      # and a dtype/shape manifest of every array
-      weights.npz     # plain numpy arrays, loaded with allow_pickle=False
+      artifact.json       # schema, model class, params, dataset
+                          # fingerprint, and a dtype/shape manifest
+      weights/<name>.npy  # one plain numpy array per file
+
+Arrays keep their trained dtype and are opened with
+``np.load(mmap_mode="r", allow_pickle=False)``, so loading copies
+nothing and servers of one bundle share its pages.  Model artifacts
+omit the training-only context matrix ``N``.
 
 Because the bundle stores the canonical tie lists of the training
 network, :func:`load_model_artifact` rebuilds the identical
@@ -16,11 +21,13 @@ returns a fitted model whose ``tie_scores()`` match the original
 exactly — verified against the stored dataset fingerprint at load time.
 
 Every array is validated against the JSON manifest before use, so a
-truncated or tampered bundle fails with :class:`ArtifactError` naming
-the offending array rather than a numpy broadcast error downstream.
+missing, truncated or tampered file fails with :class:`ArtifactError`
+naming the offending array rather than a numpy broadcast error
+downstream.  Bundles are written atomically (see :func:`_write_bundle`).
 
 The same bundle layout (``kind: "embedding"``) generalises
-:mod:`repro.embedding.persistence` for bare E-Step results.
+:mod:`repro.embedding.persistence` for bare E-Step results, ``N``
+included.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import shutil
+import tempfile
 import time
 from typing import Any, Mapping
 
@@ -40,11 +49,15 @@ from ..graph.store import STORE_SCHEMA
 from ..obs import network_fingerprint, span
 
 #: Schema tag written into every ``artifact.json``.
-ARTIFACT_SCHEMA = "repro_artifact/v1"
+ARTIFACT_SCHEMA = "repro_artifact/v2"
 
-#: File names inside an artifact bundle directory.
+#: The retired single-``weights.npz`` layout, which must be re-exported.
+_V1_SCHEMA = "repro_artifact/v1"
+
+#: Names inside an artifact bundle directory: the metadata file and
+#: the directory of per-array ``.npy`` files.
 ARTIFACT_META = "artifact.json"
-ARTIFACT_WEIGHTS = "weights.npz"
+ARTIFACT_WEIGHTS = "weights"
 
 #: Model classes an artifact may name (the registry keeps loading
 #: closed-world: nothing outside this set is ever instantiated).
@@ -57,7 +70,7 @@ MODEL_CLASS_NAMES = (
     "ReDirectTSM",
 )
 
-#: ``weights.npz`` names reserved for the network arrays.
+#: Array names reserved for the network arrays.
 _NETWORK_ARRAYS = ("network_tie_src", "network_tie_dst", "network_tie_kind")
 
 
@@ -82,11 +95,11 @@ def _model_class(name: str):
 
 
 def network_to_arrays(network: MixedSocialNetwork) -> dict[str, np.ndarray]:
-    """The expanded oriented tie set as plain arrays."""
+    """The expanded oriented tie set as plain arrays (store dtypes)."""
     return {
-        "network_tie_src": np.asarray(network.tie_src, dtype=np.int64),
-        "network_tie_dst": np.asarray(network.tie_dst, dtype=np.int64),
-        "network_tie_kind": np.asarray(network.tie_kind, dtype=np.int8),
+        "network_tie_src": np.asarray(network.tie_src),
+        "network_tie_dst": np.asarray(network.tie_dst),
+        "network_tie_kind": np.asarray(network.tie_kind),
     }
 
 
@@ -103,8 +116,8 @@ def network_from_arrays(
     canonical pair lists back out and re-running the constructor is an
     exact inverse of the expansion.
     """
-    tie_src = np.asarray(tie_src, dtype=np.int64)
-    tie_dst = np.asarray(tie_dst, dtype=np.int64)
+    tie_src = np.asarray(tie_src)
+    tie_dst = np.asarray(tie_dst)
     tie_kind = np.asarray(tie_kind)
     pairs = np.column_stack([tie_src, tie_dst])
     nd = int(np.count_nonzero(tie_kind == int(TieKind.DIRECTED)))
@@ -158,14 +171,48 @@ def _array_manifest(arrays: Mapping[str, np.ndarray]) -> dict[str, Any]:
 def _write_bundle(
     path: str | os.PathLike, meta: dict, arrays: dict[str, np.ndarray]
 ) -> pathlib.Path:
+    """Build the bundle in a sibling directory, then rename it to ``path``.
+
+    A crash never leaves half a bundle at ``path``.  An existing bundle
+    is renamed aside and deleted: its files are unlinked, never
+    rewritten, so a process that has them mapped keeps reading the old
+    weights instead of dying with ``SIGBUS``.
+    """
     path = pathlib.Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    meta = dict(meta)
-    meta["arrays"] = _array_manifest(arrays)
-    np.savez(path / ARTIFACT_WEIGHTS, **arrays)
-    with open(path / ARTIFACT_META, "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    if path.is_dir() and any(path.iterdir()) and not (
+        path / ARTIFACT_META
+    ).is_file():
+        raise ArtifactError(
+            f"{path} exists and is not an artifact bundle; refusing to "
+            "replace it"
+        )
+    path.parent.mkdir(parents=True, exist_ok=True)
+    staging = pathlib.Path(
+        tempfile.mkdtemp(prefix=f".{path.name}.", dir=path.parent)
+    )
+    retired = None
+    try:
+        weights = staging / ARTIFACT_WEIGHTS
+        weights.mkdir()
+        for name, arr in arrays.items():
+            np.save(weights / f"{name}.npy", arr, allow_pickle=False)
+        meta = {**meta, "arrays": _array_manifest(arrays)}
+        with open(staging / ARTIFACT_META, "w", encoding="utf-8") as handle:
+            json.dump(meta, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        if path.is_dir() and any(path.iterdir()):
+            # rename(2) replaces only an empty directory: move the old
+            # bundle aside first.
+            retired = tempfile.mkdtemp(
+                prefix=f".{path.name}.", dir=path.parent
+            )
+            os.rename(path, retired)
+        os.rename(staging, path)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    if retired is not None:
+        shutil.rmtree(retired, ignore_errors=True)
     return path
 
 
@@ -182,11 +229,16 @@ def read_artifact_meta(path: str | os.PathLike) -> dict[str, Any]:
             meta = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{meta_path} is not valid JSON: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("schema") != ARTIFACT_SCHEMA:
+    schema = meta.get("schema") if isinstance(meta, dict) else None
+    if schema == _V1_SCHEMA:
         raise ArtifactError(
-            f"{meta_path} has schema "
-            f"{meta.get('schema') if isinstance(meta, dict) else None!r}; "
-            f"expected {ARTIFACT_SCHEMA}"
+            f"{path} is a {_V1_SCHEMA} bundle (one weights.npz), which is "
+            f"no longer read; re-export it (repro export, or "
+            f"model.to_artifact) to write {ARTIFACT_SCHEMA}"
+        )
+    if schema != ARTIFACT_SCHEMA:
+        raise ArtifactError(
+            f"{meta_path} has schema {schema!r}; expected {ARTIFACT_SCHEMA}"
         )
     return meta
 
@@ -194,27 +246,41 @@ def read_artifact_meta(path: str | os.PathLike) -> dict[str, Any]:
 def _read_bundle(
     path: str | os.PathLike, kind: str
 ) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """The metadata and read-only memory-mapped arrays of a bundle."""
     path = pathlib.Path(path)
     meta = read_artifact_meta(path)
     if meta.get("kind") != kind:
         raise ArtifactError(
             f"{path} holds a {meta.get('kind')!r} artifact, not {kind!r}"
         )
-    weights_path = path / ARTIFACT_WEIGHTS
-    if not weights_path.is_file():
-        raise ArtifactError(f"{path} is missing {ARTIFACT_WEIGHTS}")
-    with np.load(weights_path, allow_pickle=False) as archive:
-        arrays = {name: archive[name] for name in archive.files}
+    weights = path / ARTIFACT_WEIGHTS
+    if not weights.is_dir():
+        raise ArtifactError(f"{path} is missing {ARTIFACT_WEIGHTS}/")
     expected = meta.get("arrays")
     if not isinstance(expected, dict):
         raise ArtifactError(f"{path} has no array manifest in its metadata")
-    missing = set(expected) - set(arrays)
+    # Names become file names: nothing may point outside weights/.
+    invalid = [name for name in expected if not name.isidentifier()]
+    if invalid:
+        raise ArtifactError(f"{path}: invalid array names {sorted(invalid)}")
+    missing = [
+        name for name in expected if not (weights / f"{name}.npy").is_file()
+    ]
     if missing:
         raise ArtifactError(
             f"{path} is truncated: missing arrays {sorted(missing)}"
         )
+    arrays = {}
     for name, spec in expected.items():
-        arr = arrays[name]
+        try:
+            arr = np.load(
+                weights / f"{name}.npy", mmap_mode="r", allow_pickle=False
+            )
+        except (OSError, ValueError, EOFError) as exc:
+            raise ArtifactError(
+                f"{path}: array {name!r} is unreadable ({exc}); the bundle "
+                "is truncated or was modified"
+            ) from exc
         if str(arr.dtype) != spec.get("dtype") or list(arr.shape) != list(
             spec.get("shape", ())
         ):
@@ -225,6 +291,7 @@ def _read_bundle(
                 f"shape={tuple(spec.get('shape', ()))}; the bundle is "
                 "truncated or was modified"
             )
+        arrays[name] = arr
     return meta, arrays
 
 
@@ -253,9 +320,7 @@ def save_model_artifact(model, path: str | os.PathLike) -> pathlib.Path:
             raise ArtifactError(
                 f"model arrays shadow reserved names {sorted(collision)}"
             )
-        arrays.update(
-            {name: np.asarray(arr) for name, arr in model_arrays.items()}
-        )
+        arrays.update(model_arrays)
         dataset = network_fingerprint(network)
         meta = {
             "schema": ARTIFACT_SCHEMA,

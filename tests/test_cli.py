@@ -356,7 +356,7 @@ def test_export_and_serve_smoke(tie_file, tmp_path, capsys):
     bundle = tmp_path / "artifact"
     assert main(["export", tie_file, str(bundle), "--method", "hf"]) == 0
     assert (bundle / "artifact.json").is_file()
-    assert (bundle / "weights.npz").is_file()
+    assert (bundle / "weights" / "tie_scores.npy").is_file()
     assert "HFModel artifact" in capsys.readouterr().out
 
     manifest = tmp_path / "serve_manifest.json"

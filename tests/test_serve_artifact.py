@@ -6,6 +6,8 @@ truncated arrays, tampered manifests, wrong fingerprints).
 """
 
 import json
+import mmap
+import shutil
 
 import numpy as np
 import pytest
@@ -169,6 +171,106 @@ def test_network_arrays_roundtrip(network):
     assert np.array_equal(rebuilt.tie_kind, network.tie_kind)
 
 
+# -- dtype, N and the zero-copy layout ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def float32_deepdirect(network):
+    return DeepDirectModel(
+        DeepDirectConfig(
+            dimensions=8, epochs=1.0, max_pairs=4_000, dtype="float32"
+        )
+    ).fit(network, seed=3)
+
+
+def test_float32_roundtrip_keeps_dtype_and_bits(float32_deepdirect, tmp_path):
+    model = float32_deepdirect
+    bundle = tmp_path / "f32"
+    save_model_artifact(model, bundle)
+    restored = load_model_artifact(bundle)
+    written = model._artifact_arrays()
+    reloaded = restored._artifact_arrays()
+    assert written["embeddings"].dtype == np.float32
+    assert set(reloaded) == set(written)
+    for name, arr in written.items():
+        assert reloaded[name].dtype == arr.dtype, name
+        assert reloaded[name].tobytes() == arr.tobytes(), name
+    assert "contexts" not in read_artifact_meta(bundle)["arrays"]
+    assert restored.embedding_.contexts is None
+    assert np.array_equal(restored.tie_scores(), model.tie_scores())
+
+
+def test_weights_are_memory_mapped(fitted_models, tmp_path):
+    bundle = tmp_path / "mapped"
+    save_model_artifact(fitted_models["DeepDirectModel"], bundle)
+    restored = load_model_artifact(bundle)
+    for arr in (restored.tie_embeddings, restored.tie_scores()):
+        assert not arr.flags.writeable
+        base = arr
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, mmap.mmap)
+
+
+def test_embedding_artifact_keeps_contexts(network, tmp_path):
+    result = DeepDirectEmbedding(
+        DeepDirectConfig(
+            dimensions=8, epochs=1.0, max_pairs=4_000, dtype="float32"
+        )
+    ).fit(network, seed=0)
+    bundle = tmp_path / "embedding"
+    save_embedding_artifact(result, bundle)
+    restored = load_embedding_artifact(bundle)
+    for name in ("embeddings", "contexts"):
+        before, after = getattr(result, name), getattr(restored, name)
+        assert after.dtype == before.dtype == np.float32
+        assert after.tobytes() == before.tobytes()
+
+
+def test_reexport_over_mapped_artifact_keeps_scores(fitted_models, tmp_path):
+    """Re-exporting onto a bundle a live model has mapped replaces the
+    files instead of rewriting them, so the live model reads on."""
+    bundle = tmp_path / "live"
+    save_model_artifact(fitted_models["DeepDirectModel"], bundle)
+    live = load_model_artifact(bundle)
+    scores = np.array(live.tie_scores())
+    embeddings = np.array(live.tie_embeddings)
+    save_model_artifact(fitted_models["HFModel"], bundle)
+    assert np.array_equal(live.tie_scores(), scores)
+    assert np.array_equal(live.tie_embeddings, embeddings)
+    assert isinstance(load_model_artifact(bundle), HFModel)
+    assert [p.name for p in tmp_path.iterdir()] == ["live"]
+
+
+def test_failed_export_leaves_old_bundle(fitted_models, tmp_path, monkeypatch):
+    bundle = tmp_path / "bundle"
+    model = fitted_models["DeepDirectModel"]
+    save_model_artifact(model, bundle)
+    real_save = np.save
+    calls = []
+
+    def failing_save(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real_save(*args, **kwargs)
+
+    monkeypatch.setattr(np, "save", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        save_model_artifact(fitted_models["HFModel"], bundle)
+    monkeypatch.undo()
+    restored = load_model_artifact(bundle)
+    assert np.array_equal(restored.tie_scores(), model.tie_scores())
+    assert [p.name for p in tmp_path.iterdir()] == ["bundle"]
+
+
+def test_export_refuses_to_replace_other_directories(fitted_models, tmp_path):
+    (tmp_path / "notes.txt").write_text("keep me")
+    with pytest.raises(ArtifactError, match="not an artifact bundle"):
+        save_model_artifact(fitted_models["HFModel"], tmp_path)
+    assert (tmp_path / "notes.txt").read_text() == "keep me"
+
+
 # -- failure modes ------------------------------------------------------
 
 
@@ -194,43 +296,70 @@ def test_wrong_schema_rejected(hf_bundle):
     meta = json.loads((hf_bundle / "artifact.json").read_text())
     meta["schema"] = "something/v9"
     (hf_bundle / "artifact.json").write_text(json.dumps(meta))
-    with pytest.raises(ArtifactError, match="expected repro_artifact/v1"):
+    with pytest.raises(ArtifactError, match=f"expected {ARTIFACT_SCHEMA}"):
+        load_model_artifact(hf_bundle)
+
+
+def test_v1_bundle_asks_for_reexport(hf_bundle):
+    """The retired single-``weights.npz`` layout has no reader."""
+    meta = json.loads((hf_bundle / "artifact.json").read_text())
+    meta["schema"] = "repro_artifact/v1"
+    (hf_bundle / "artifact.json").write_text(json.dumps(meta))
+    shutil.rmtree(hf_bundle / "weights")
+    np.savez(hf_bundle / "weights.npz", tie_scores=np.zeros(3))
+    with pytest.raises(ArtifactError, match="re-export it"):
         load_model_artifact(hf_bundle)
 
 
 def test_missing_weights_rejected(hf_bundle):
-    (hf_bundle / "weights.npz").unlink()
-    with pytest.raises(ArtifactError, match="missing weights.npz"):
+    shutil.rmtree(hf_bundle / "weights")
+    with pytest.raises(ArtifactError, match="missing weights/"):
         load_model_artifact(hf_bundle)
 
 
 def test_truncated_array_rejected(hf_bundle):
-    with np.load(hf_bundle / "weights.npz") as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    arrays["tie_scores"] = arrays["tie_scores"][:-3]
-    np.savez(hf_bundle / "weights.npz", **arrays)
+    """A shorter (but well-formed) array disagrees with the manifest."""
+    path = hf_bundle / "weights" / "tie_scores.npy"
+    np.save(path, np.load(path)[:-3])
     with pytest.raises(ArtifactError, match="truncated or was modified"):
         load_model_artifact(hf_bundle)
 
 
+def test_byte_truncated_npy_rejected(hf_bundle):
+    """Bytes cut off the end of a ``.npy`` fail before anything maps
+    past the end of the file."""
+    path = hf_bundle / "weights" / "tie_scores.npy"
+    data = path.read_bytes()
+    path.write_bytes(data[:-8])
+    with pytest.raises(ArtifactError, match="'tie_scores' is unreadable"):
+        load_model_artifact(hf_bundle)
+    path.write_bytes(data[:16])  # cut inside the header
+    with pytest.raises(ArtifactError, match="'tie_scores' is unreadable"):
+        load_model_artifact(hf_bundle)
+
+
 def test_dropped_array_rejected(hf_bundle):
-    with np.load(hf_bundle / "weights.npz") as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    del arrays["tie_scores"]
-    np.savez(hf_bundle / "weights.npz", **arrays)
+    (hf_bundle / "weights" / "tie_scores.npy").unlink()
     with pytest.raises(ArtifactError, match="truncated: missing arrays"):
+        load_model_artifact(hf_bundle)
+
+
+def test_array_names_cannot_leave_the_bundle(hf_bundle, tmp_path):
+    np.save(tmp_path / "outside.npy", np.zeros(3))
+    meta = json.loads((hf_bundle / "artifact.json").read_text())
+    meta["arrays"]["../../outside"] = {"dtype": "float64", "shape": [3]}
+    (hf_bundle / "artifact.json").write_text(json.dumps(meta))
+    with pytest.raises(ArtifactError, match="invalid array names"):
         load_model_artifact(hf_bundle)
 
 
 def test_tampered_ties_rejected(hf_bundle):
     """Editing the tie arrays breaks the stored dataset fingerprint."""
     meta = json.loads((hf_bundle / "artifact.json").read_text())
-    with np.load(hf_bundle / "weights.npz") as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    src = arrays["network_tie_src"].copy()
+    path = hf_bundle / "weights" / "network_tie_src.npy"
+    src = np.load(path)
     src[0], src[1] = src[1], src[0]
-    arrays["network_tie_src"] = src
-    np.savez(hf_bundle / "weights.npz", **arrays)
+    np.save(path, src)
     with pytest.raises(ArtifactError):
         load_model_artifact(hf_bundle)
     assert meta["dataset"]["fingerprint"]  # the guard that caught it

@@ -5,13 +5,15 @@ with ``urllib`` — the acceptance path of ``repro serve``.
 """
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
-from repro.models import HFModel
+from repro.embedding import DeepDirectConfig
+from repro.models import DeepDirectModel, HFModel
 from repro.serve import (
     SERVE_SCHEMA,
     ModelServer,
@@ -62,10 +64,7 @@ def _post_error(url: str, data: bytes) -> tuple[int, dict]:
         return exc.code, json.load(exc)
 
 
-def test_score_1000_pairs_identical_to_model(served, model):
-    """The acceptance criterion: a reloaded artifact, served over HTTP,
-    answers a 1,000-pair batch identically to the in-process model."""
-    server, _engine = served
+def _assert_1000_pairs_identical(server, model) -> None:
     net = model.network
     rng = np.random.default_rng(0)
     ids = rng.integers(0, net.n_ties, size=1000)
@@ -77,6 +76,51 @@ def test_score_1000_pairs_identical_to_model(served, model):
     assert np.array_equal(
         np.asarray(payload["scores"]), model.directionality_batch(pairs)
     )
+
+
+def test_score_1000_pairs_identical_to_model(served, model):
+    """The acceptance criterion: a reloaded artifact, served over HTTP,
+    answers a 1,000-pair batch identically to the in-process model."""
+    server, _engine = served
+    _assert_1000_pairs_identical(server, model)
+
+
+def test_score_1000_pairs_identical_float32_deepdirect(
+    discovery_task, tmp_path
+):
+    """The same identity for a DeepDirect model trained in float32,
+    served from its memory-mapped float32 artifact."""
+    model = DeepDirectModel(
+        DeepDirectConfig(dimensions=8, max_pairs=20_000, dtype="float32")
+    ).fit(discovery_task.network, seed=0)
+    assert model.tie_embeddings.dtype == np.float32
+    bundle = tmp_path / "artifact"
+    save_model_artifact(model, bundle)
+    reloaded = load_model_artifact(bundle)
+    assert reloaded.tie_embeddings.dtype == np.float32
+    with ModelServer(ScoringEngine(reloaded), port=0) as server:
+        _assert_1000_pairs_identical(server, model)
+
+
+def test_accepted_sockets_disable_nagle(served, monkeypatch):
+    """Headers and body leave in two writes; without TCP_NODELAY the
+    body waits for the client's delayed ACK."""
+    server, _engine = served
+    handler_cls = server._httpd.RequestHandlerClass
+    seen = []
+    original = handler_cls.setup
+
+    def setup(self):
+        original(self)
+        seen.append(
+            self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+        )
+
+    monkeypatch.setattr(handler_cls, "setup", setup)
+    _get(server.url + "/healthz")
+    assert seen and all(flag != 0 for flag in seen)
 
 
 def test_score_cache_false(served, model):
