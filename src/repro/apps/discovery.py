@@ -80,10 +80,11 @@ def discover_and_apply(
     network = model._check_fitted()  # noqa: SLF001
     undirected = network.social_ties(TieKind.UNDIRECTED)
     discovered = predict_directions(model, undirected)
-    directed = [tuple(map(int, pair)) for pair in network.social_ties(TieKind.DIRECTED)]
-    directed += [tuple(map(int, pair)) for pair in discovered]
-    bidirectional = [
-        tuple(map(int, pair))
-        for pair in network.social_ties(TieKind.BIDIRECTIONAL)
-    ]
-    return MixedSocialNetwork(network.n_nodes, directed, bidirectional)
+    directed = np.concatenate(
+        [network.social_ties(TieKind.DIRECTED), discovered]
+    )
+    return MixedSocialNetwork.from_arrays(
+        network.n_nodes,
+        directed,
+        network.social_ties(TieKind.BIDIRECTIONAL),
+    )

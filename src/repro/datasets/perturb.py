@@ -82,23 +82,17 @@ def hide_directions(
     order = rng.permutation(n_d)
     keep_rows, hide_rows = order[:n_keep], order[n_keep:]
 
-    kept = [tuple(map(int, directed[i])) for i in keep_rows]
     hidden_truth = directed[np.sort(hide_rows)]
-    hidden_undirected = [
-        (int(min(u, v)), int(max(u, v))) for u, v in hidden_truth
-    ]
-    existing_undirected = [
-        tuple(map(int, pair)) for pair in network.social_ties(TieKind.UNDIRECTED)
-    ]
-    bidirectional = [
-        tuple(map(int, pair))
-        for pair in network.social_ties(TieKind.BIDIRECTIONAL)
-    ]
-    perturbed = MixedSocialNetwork(
+    perturbed = MixedSocialNetwork.from_arrays(
         network.n_nodes,
-        kept,
-        bidirectional,
-        existing_undirected + hidden_undirected,
+        directed[keep_rows],
+        network.social_ties(TieKind.BIDIRECTIONAL),
+        np.concatenate(
+            [
+                network.social_ties(TieKind.UNDIRECTED),
+                np.sort(hidden_truth, axis=1),  # canonical (min, max) pairs
+            ]
+        ),
     )
     return HiddenDirectionTask(
         network=perturbed,

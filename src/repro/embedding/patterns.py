@@ -150,11 +150,12 @@ def build_triad_neighborhoods(
     u_all = network.tie_src[canon]
     v_all = network.tie_dst[canon]
 
-    # The undirected CSR stores neighbours in lexsort((tie_dst, tie_src))
-    # order, so CSR position p *is* oriented tie order[p]: recovering the
-    # (u, w) and (v, w) tie ids needs no hash lookups.
+    # The undirected CSR stores neighbours in (src, dst) key order, so
+    # CSR position p *is* oriented tie key_order[p]: recovering the
+    # (u, w) and (v, w) tie ids needs no hash lookups, and on a
+    # MmapStore the key order is already on disk.
     offsets, targets = network._ensure_und_csr()  # noqa: SLF001
-    csr_tie_ids = np.lexsort((network.tie_dst, network.tie_src))
+    csr_tie_ids = network.store.key_order()
 
     degree = np.asarray(offsets[1:]) - np.asarray(offsets[:-1])
     entries = np.cumsum(degree[u_all] + degree[v_all])

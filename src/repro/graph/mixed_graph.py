@@ -101,8 +101,10 @@ class MixedSocialNetwork:
         Iterable of ``(u, v)`` pairs, one canonical pair per tie; both
         orientations are materialised.
     validate:
-        When true (default), enforce Definition 1: no self loops, no
-        duplicate ties, disjoint tie classes, and ``|E_d| > 0``.
+        When true (default), enforce Definition 1: node ids in range, no
+        self loops, and ``|E_d| > 0``.  Duplicate ties and overlapping
+        tie classes are rejected whatever ``validate`` says: the backing
+        store refuses a repeated oriented tie.
 
     For large graphs prefer the array-native constructors: build
     ``(k, 2)`` arrays and call :meth:`from_arrays`, or open a persisted
@@ -249,31 +251,8 @@ class MixedSocialNetwork:
                 raise GraphValidationError(f"{name} refers to nodes outside 0..n-1")
             if np.any(pairs[:, 0] == pairs[:, 1]):
                 raise GraphValidationError(f"{name} contains self loops")
-
-        n = np.int64(self._n_nodes)
-
-        def _canon(pairs: np.ndarray) -> np.ndarray:
-            # Orientation-blind key per pair; unique == deduplicated set.
-            if len(pairs) == 0:
-                return np.empty(0, dtype=np.int64)
-            lo = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.int64)
-            hi = np.maximum(pairs[:, 0], pairs[:, 1]).astype(np.int64)
-            return np.unique(lo * n + hi)
-
-        cd, cb, cu = _canon(e_d), _canon(e_b), _canon(e_u)
-        if len(cd) != len(e_d):
-            raise GraphValidationError(
-                "E_d contains both orientations (or duplicates) of a tie; "
-                "a reciprocated pair belongs in E_b"
-            )
-        if len(cb) != len(e_b) or len(cu) != len(e_u):
-            raise GraphValidationError("E_b or E_u contains duplicate ties")
-        if (
-            np.intersect1d(cd, cb, assume_unique=True).size
-            or np.intersect1d(cd, cu, assume_unique=True).size
-            or np.intersect1d(cb, cu, assume_unique=True).size
-        ):
-            raise GraphValidationError("tie classes E_d, E_b, E_u must be disjoint")
+        # Duplicates and class overlaps are caught by the store's sorted
+        # key check, which names the offending classes.
 
     # ------------------------------------------------------------------
     # Basic shape

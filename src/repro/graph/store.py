@@ -164,6 +164,8 @@ class GraphStore(Protocol):
 
     def tie_key_index(self) -> tuple[np.ndarray, np.ndarray]: ...
 
+    def key_order(self) -> np.ndarray: ...
+
     def tie_degrees(self) -> np.ndarray: ...
 
     def fingerprint(self) -> str: ...
@@ -235,9 +237,15 @@ class _TieStoreBase:
     # -- derived structures --------------------------------------------
 
     def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR over nodes -> outgoing oriented tie ids."""
+        """CSR over nodes -> outgoing oriented tie ids, ascending per row.
+
+        The composite ``src * n_ties + id`` is unique, so its unstable
+        sort is exactly the stable sort of ``tie_src``.
+        """
         if self._out_csr is None:
-            order = np.argsort(self._tie_src, kind="stable")
+            composite = self._tie_src.astype(np.int64) * np.int64(self.n_ties)
+            composite += np.arange(self.n_ties)
+            order = np.argsort(composite)
             counts = np.bincount(self._tie_src, minlength=self._n_nodes)
             offsets = np.zeros(self._n_nodes + 1, dtype=INDPTR_DTYPE)
             np.cumsum(counts, out=offsets[1:])
@@ -252,25 +260,33 @@ class _TieStoreBase:
 
         Shares offsets with :meth:`out_csr` (both group the expanded
         tie set by ``tie_src``); targets are sorted within each row.
+        ``src * n + dst`` key order *is* (src, dst) order, so the
+        targets are ``tie_dst`` read in key order.
         """
         if self._und_csr is None:
             offsets, _ = self.out_csr()
-            order = np.lexsort((self._tie_dst, self._tie_src))
             self._und_csr = (
                 offsets,
-                _readonly(self._tie_dst[order].astype(TIE_INDEX_DTYPE)),
+                _readonly(
+                    self._tie_dst[self.key_order()].astype(TIE_INDEX_DTYPE)
+                ),
             )
         return self._und_csr
 
     def tie_key_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted ``src * n + dst`` int64 keys + matching tie ids."""
+        """Sorted ``src * n + dst`` int64 keys + matching tie ids.
+
+        Keys are unique in every store that exists (construction fails
+        on a repeated oriented tie), so the default unstable sort gives
+        the one and only sorting permutation.
+        """
         if self._tie_key_index is None:
             keys = self._tie_src.astype(np.int64) * np.int64(
                 self._n_nodes
             ) + self._tie_dst
             if self._key_order is None:
                 self._key_order = _readonly(
-                    np.argsort(keys, kind="stable").astype(TIE_INDEX_DTYPE)
+                    np.argsort(keys).astype(TIE_INDEX_DTYPE)
                 )
             order = self._key_order.astype(np.int64)
             self._tie_key_index = (
@@ -278,6 +294,17 @@ class _TieStoreBase:
                 _readonly(order),
             )
         return self._tie_key_index
+
+    def key_order(self) -> np.ndarray:
+        """Tie ids in ascending ``src * n + dst`` key order (int32).
+
+        The bare permutation behind :meth:`tie_key_index`; on a
+        :class:`MmapStore` it is the on-disk array, with no sorted-key
+        copy built.
+        """
+        if self._key_order is None:
+            self.tie_key_index()
+        return self._key_order
 
     def tie_degrees(self) -> np.ndarray:
         """``deg_tie(e) = |c(e)|``: out-tie count of dst(e) minus the back-tie."""
@@ -318,8 +345,6 @@ class InMemoryStore(_TieStoreBase):
         n_directed: int,
         n_bidirectional: int,
         n_undirected: int,
-        *,
-        check_duplicates: bool = True,
     ) -> None:
         _check_node_range(n_nodes)
         self._n_nodes = int(n_nodes)
@@ -344,13 +369,13 @@ class InMemoryStore(_TieStoreBase):
                 "tie columns disagree with the declared class counts"
             )
         self._init_caches()
-        if check_duplicates and n_ties:
-            # Building the key index sorts the packed (src, dst) keys,
-            # which doubles as the uniqueness check the old dict-based
-            # tie index performed eagerly.
-            sorted_keys, _ = self.tie_key_index()
-            if np.any(sorted_keys[1:] == sorted_keys[:-1]):
-                raise GraphValidationError("duplicate oriented ties detected")
+        # Building the key index sorts the packed (src, dst) keys, which
+        # doubles as the one duplicate check of the whole build.
+        sorted_keys, order = self.tie_key_index()
+        if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+            raise GraphValidationError(
+                _duplicate_message(sorted_keys, self._tie_kind[order])
+            )
 
     @classmethod
     def from_social_ties(
@@ -359,8 +384,6 @@ class InMemoryStore(_TieStoreBase):
         e_d: np.ndarray,
         e_b: np.ndarray,
         e_u: np.ndarray,
-        *,
-        check_duplicates: bool = True,
     ) -> "InMemoryStore":
         """Expand canonical per-class ``(k, 2)`` pair arrays.
 
@@ -405,17 +428,7 @@ class InMemoryStore(_TieStoreBase):
         rev[base : base + nu] = np.arange(nu) + base + nu
         rev[base + nu : base + 2 * nu] = np.arange(nu) + base
 
-        return cls(
-            n_nodes,
-            tie_src,
-            tie_dst,
-            tie_kind,
-            rev,
-            nd,
-            nb,
-            nu,
-            check_duplicates=check_duplicates,
-        )
+        return cls(n_nodes, tie_src, tie_dst, tie_kind, rev, nd, nb, nu)
 
 
 class MmapStore(_TieStoreBase):
@@ -515,6 +528,29 @@ class MmapStore(_TieStoreBase):
         return cls(root, meta, arrays)
 
 
+#: Social-tie class of each tie kind: E_d (both orientations), E_b, E_u.
+_KIND_CLASS = np.array([0, 0, 1, 2], dtype=np.int8)
+
+
+def _duplicate_message(sorted_keys: np.ndarray, kinds: np.ndarray) -> str:
+    """Name the fault behind the first repeated key (``kinds`` in key order).
+
+    Every oriented tie's reverse is materialised, so two social ties
+    share an unordered pair exactly when two oriented ties share a key;
+    the classes of the two ties tell which rule of Definition 1 broke.
+    """
+    at = int(np.argmax(sorted_keys[1:] == sorted_keys[:-1]))
+    first, second = _KIND_CLASS[kinds[at : at + 2]]
+    if first != second:
+        return "tie classes E_d, E_b, E_u must be disjoint"
+    if first == 0:
+        return (
+            "E_d contains both orientations (or duplicates) of a tie; "
+            "a reciprocated pair belongs in E_b"
+        )
+    return "E_b or E_u contains duplicate ties"
+
+
 def _check_node_range(n_nodes: int) -> None:
     if n_nodes <= 0:
         raise GraphValidationError("n_nodes must be positive")
@@ -585,7 +621,6 @@ def write_store(store: GraphStore, path: str | os.PathLike) -> Path:
     root.mkdir(parents=True, exist_ok=True)
     offsets, out_order = store.out_csr()
     _, und_targets = store.und_csr()
-    _, key_order_i64 = store.tie_key_index()
     payload: dict[str, np.ndarray] = {
         "tie_src": np.ascontiguousarray(store.tie_src, dtype=TIE_INDEX_DTYPE),
         "tie_dst": np.ascontiguousarray(store.tie_dst, dtype=TIE_INDEX_DTYPE),
@@ -599,7 +634,7 @@ def write_store(store: GraphStore, path: str | os.PathLike) -> Path:
             und_targets, dtype=TIE_INDEX_DTYPE
         ),
         "key_order": np.ascontiguousarray(
-            key_order_i64, dtype=TIE_INDEX_DTYPE
+            store.key_order(), dtype=TIE_INDEX_DTYPE
         ),
     }
     manifest: dict[str, dict] = {}

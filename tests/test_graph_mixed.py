@@ -52,6 +52,63 @@ class TestConstruction:
             MixedSocialNetwork(0, [(0, 1)])
 
 
+_ORIENTATIONS = "E_d contains both orientations"
+_DUPLICATES = "E_b or E_u contains duplicate ties"
+_DISJOINT = "tie classes E_d, E_b, E_u must be disjoint"
+
+#: Single-fault inputs ``(E_d, E_b, E_u)`` and the message each must
+#: raise.  The store's one sorted-key check picks the message from the
+#: colliding ties' classes.
+_DUPLICATE_CASES = [
+    (([(0, 1), (0, 1)], [], []), _ORIENTATIONS),
+    (([(0, 1), (1, 0)], [], []), _ORIENTATIONS),
+    (([(0, 2)], [(0, 1), (0, 1)], []), _DUPLICATES),
+    (([(0, 2)], [(0, 1), (1, 0)], []), _DUPLICATES),
+    (([(0, 2)], [], [(1, 3), (3, 1)]), _DUPLICATES),
+    (([(0, 1)], [(1, 0)], []), _DISJOINT),
+    (([(0, 1)], [], [(0, 1)]), _DISJOINT),
+    (([(0, 2)], [(1, 3)], [(3, 1)]), _DISJOINT),
+]
+
+
+def _expanded(e_d, e_b, e_u):
+    """The oriented ``[E_d fwd | E_d rev | E_b both | E_u both]`` columns."""
+    blocks = []
+    for pairs, kinds in (
+        (e_d, (TieKind.DIRECTED, TieKind.DIRECTED_REVERSE)),
+        (e_b, (TieKind.BIDIRECTIONAL, TieKind.BIDIRECTIONAL)),
+        (e_u, (TieKind.UNDIRECTED, TieKind.UNDIRECTED)),
+    ):
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        for oriented, kind in ((pairs, kinds[0]), (pairs[:, ::-1], kinds[1])):
+            blocks.append(
+                np.column_stack([oriented, np.full(len(oriented), int(kind))])
+            )
+    table = np.concatenate(blocks)
+    return table[:, 0], table[:, 1], table[:, 2]
+
+
+class TestDuplicateMessages:
+    @pytest.mark.parametrize("ties, message", _DUPLICATE_CASES)
+    def test_constructor(self, ties, message):
+        with pytest.raises(GraphValidationError, match=message):
+            MixedSocialNetwork(4, *ties)
+
+    @pytest.mark.parametrize("ties, message", _DUPLICATE_CASES)
+    def test_from_arrays_without_validation(self, ties, message):
+        arrays = [np.asarray(t, dtype=np.int64).reshape(-1, 2) for t in ties]
+        with pytest.raises(GraphValidationError, match=message):
+            MixedSocialNetwork.from_arrays(4, *arrays, validate=False)
+
+    @pytest.mark.parametrize("ties, message", _DUPLICATE_CASES)
+    def test_network_from_arrays(self, ties, message):
+        from repro.serve import ArtifactError, network_from_arrays
+
+        tie_src, tie_dst, tie_kind = _expanded(*ties)
+        with pytest.raises(ArtifactError, match=message):
+            network_from_arrays(tie_src, tie_dst, tie_kind, n_nodes=4)
+
+
 class TestTieIndexing:
     def test_directed_reverse_materialised(self, triangle_network):
         net = triangle_network

@@ -85,6 +85,7 @@ def _assert_stores_equal(mem, mmap):
         assert np.array_equal(a, b)
     for a, b in zip(mem.tie_key_index(), mmap.tie_key_index()):
         assert np.array_equal(a, b)
+    assert np.array_equal(mem.key_order(), mmap.key_order())
     assert np.array_equal(mem.tie_degrees(), mmap.tie_degrees())
     assert mem.fingerprint() == mmap.fingerprint()
 
@@ -233,6 +234,48 @@ def test_eager_open_still_validates(store_dir):
 
 
 # -- constructor surface ------------------------------------------------
+
+
+def _legacy_derived(store) -> dict[str, np.ndarray]:
+    """The formulas the store used before deriving from the key order."""
+    src, dst = np.asarray(store.tie_src), np.asarray(store.tie_dst)
+    keys = src.astype(np.int64) * store.n_nodes + dst
+    return {
+        "out_order": np.argsort(src, kind="stable"),
+        "und_targets": dst[np.lexsort((dst, src))],
+        "key_order": np.argsort(keys, kind="stable"),
+    }
+
+
+def _assert_derived_match_legacy(store):
+    legacy = _legacy_derived(store)
+    assert np.array_equal(store.out_csr()[1], legacy["out_order"])
+    assert np.array_equal(store.und_csr()[1], legacy["und_targets"])
+    assert np.array_equal(store.tie_key_index()[1], legacy["key_order"])
+    assert np.array_equal(store.key_order(), legacy["key_order"])
+
+
+@given(mixed_networks())
+@settings(max_examples=25, deadline=None)
+def test_derived_arrays_match_legacy_sorts(net):
+    _assert_derived_match_legacy(net.store)
+
+
+def test_derived_arrays_match_legacy_sorts_at_scale():
+    # Large enough that numpy's unstable sorts leave their insertion-sort
+    # base case: uniqueness of the keys, not luck, must make them exact.
+    rng = np.random.default_rng(7)
+    n = 4000
+    u, v = rng.integers(0, n, size=(2, 150_000))
+    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    pairs = np.column_stack([keys // n, keys % n])
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    pairs[::2] = pairs[::2, ::-1]  # mix directed orientations
+    third = len(pairs) // 3
+    net = MixedSocialNetwork.from_arrays(
+        n, pairs[:third], pairs[third : 2 * third], pairs[2 * third :]
+    )
+    _assert_derived_match_legacy(net.store)
 
 
 def test_from_arrays_equals_tuple_constructor(tiny_network):
