@@ -50,7 +50,7 @@ from ..obs import (
     span,
 )
 from ..obs.health import HealthMonitor, maybe_poison
-from ..utils import ensure_rng
+from ..utils import ensure_rng, row_blocks
 from .config import DeepDirectConfig
 from .hogwild import run_hogwild, should_degrade
 from .kernels import (
@@ -206,11 +206,8 @@ class DeepDirectEmbedding:
                 triads = None
             setup_sp.set(use_patterns=bool(use_patterns))
 
-        # word2vec-style init: small uniform rows for M, zero contexts.
-        # RNG draws stay float64 and are rounded once, so the sampling
-        # stream (and the float64 path bit-for-bit) is dtype-independent.
         dt = np.dtype(cfg.dtype)
-        M = ((rng.random((n_ties, l)) - 0.5) / l).astype(dt, copy=False)
+        M = _uniform_init(rng, n_ties, l, dt)
         N = np.zeros((n_ties, l), dtype=dt)
         w_prime = np.zeros(l, dtype=dt)
         b_prime = 0.0
@@ -578,6 +575,22 @@ class DeepDirectEmbedding:
         return batch_triad_labels(
             M, w_prime, b_prime, triads.uw_ids[tie_ids], triads.vw_ids[tie_ids]
         )
+
+
+def _uniform_init(
+    rng: np.random.Generator, n_rows: int, dims: int, dtype: np.dtype
+) -> np.ndarray:
+    """word2vec-style init of M: uniform rows in ``[-0.5, 0.5) / dims``.
+
+    The draws stay float64 and are rounded once, so the stream (and the
+    float64 path bit for bit) is dtype-independent.  Row blocks consume
+    the stream in the order one ``(n_rows, dims)`` draw would, without
+    its float64 transient.
+    """
+    M = np.empty((n_rows, dims), dtype=dtype)
+    for rows in row_blocks(n_rows):
+        M[rows] = (rng.random((rows.stop - rows.start, dims)) - 0.5) / dims
+    return M
 
 
 @dataclass

@@ -140,6 +140,9 @@ def _scatter_add(
         np.add.at(target, idx, grads)
         return
     dims = target.shape[1]
+    # Plan ids are int32; widen before scaling so ``id * dims`` cannot
+    # wrap on large matrices.
+    idx = np.asarray(idx, dtype=np.intp)
     flat_idx = idx[:, None] * dims + np.arange(dims)
     np.add.at(
         target.reshape(-1), flat_idx.reshape(-1), grads.reshape(-1)

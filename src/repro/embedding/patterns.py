@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph import MixedSocialNetwork, TieKind
+from ..graph.store import TIE_INDEX_DTYPE
 from ..utils import ensure_rng
 
 
@@ -133,9 +134,10 @@ def build_triad_neighborhoods(
     if tie_ids is None:
         tie_ids = network.ties_of_kind(TieKind.UNDIRECTED)
 
-    uw = np.full((n, gamma), -1, dtype=np.int64)
-    vw = np.full((n, gamma), -1, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
+    # Tie ids (and counts <= gamma) fit the store's index width.
+    uw = np.full((n, gamma), -1, dtype=TIE_INDEX_DTYPE)
+    vw = np.full((n, gamma), -1, dtype=TIE_INDEX_DTYPE)
+    counts = np.zeros(n, dtype=TIE_INDEX_DTYPE)
 
     tie_ids = np.asarray(tie_ids, dtype=np.int64)
     if tie_ids.size == 0:

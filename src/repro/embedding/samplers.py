@@ -16,11 +16,12 @@ Two sampling paths share the machinery:
   time, and
 * the **planned path** (:class:`SamplePlanner` → :class:`SamplePlan`)
   draws an entire epoch's worth of pairs, successors and negatives in
-  three vectorized mega-draws, then hands zero-copy per-batch views to
-  the kernels.  Each mega-draw consumes exactly one uniform double per
-  sampled element from a category-separated child stream, so the draws
-  are *plan-granularity invariant*: planning a run in one mega-plan or
-  in many small chunks produces bit-identical samples.
+  three vectorized mega-draws (filled one row block at a time), then
+  hands zero-copy per-batch views to the kernels.  Each mega-draw
+  consumes exactly one uniform double per sampled element from a
+  category-separated child stream, so the draws are *plan-granularity
+  invariant*: planning a run in one mega-plan or in many small chunks
+  produces bit-identical samples.
 """
 
 from __future__ import annotations
@@ -30,7 +31,17 @@ import time
 import numpy as np
 
 from ..graph import MixedSocialNetwork
+from ..graph.store import TIE_INDEX_DTYPE
 from ..obs.trace import span as trace_span
+from ..utils import row_blocks
+
+
+def _index_dtype(n: int) -> np.dtype:
+    """Dtype for ids in ``range(n)``: the store's ``TIE_INDEX_DTYPE``
+    while it can hold them, int64 beyond."""
+    if n <= np.iinfo(TIE_INDEX_DTYPE).max:
+        return np.dtype(TIE_INDEX_DTYPE)
+    return np.dtype(np.int64)
 
 
 class AliasSampler:
@@ -57,7 +68,7 @@ class AliasSampler:
         # ``n / total`` turns infinite and poisons the table with NaNs).
         prob = (weights / total) * n
         self._prob = np.ones(n)
-        self._alias = np.arange(n)
+        self._alias = np.arange(n, dtype=_index_dtype(n))
 
         # Round-based vectorised pairing: each round matches the first
         # ``k = min(|small|, |large|)`` entries of the two worklists
@@ -169,7 +180,9 @@ class ConnectedPairSampler:
                 )
             # When every degree is positive (the common case) this subset
             # is the identity map, so the sampling stream is unchanged.
-            self._sampleable_ids = np.flatnonzero(self._tie_degrees > 0)
+            self._sampleable_ids = np.flatnonzero(
+                self._tie_degrees > 0
+            ).astype(_index_dtype(network.n_ties))
             self._source_sampler = AliasSampler(
                 self._tie_degrees[self._sampleable_ids].astype(float)
             )
@@ -196,7 +209,8 @@ class ConnectedPairSampler:
         """
         if self._back_pos is None:
             out = self._out_tie_ids
-            pos_of_tie = np.empty(self.network.n_ties, dtype=np.int64)
+            n = self.network.n_ties
+            pos_of_tie = np.empty(n, dtype=_index_dtype(n))
             pos_of_tie[out] = (
                 np.arange(len(out)) - self._offsets[self.network.tie_src[out]]
             )
@@ -379,19 +393,34 @@ class SamplePlanner:
         self.n_plans = 0
 
     def plan(self, n_pairs: int, batch_size: int) -> SamplePlan:
-        """Mega-draw ``n_pairs`` pairs/successors/negatives as one plan."""
+        """Mega-draw ``n_pairs`` pairs/successors/negatives as one plan.
+
+        The plan's arrays hold tie ids at the store's index width and
+        are filled one row block at a time, so the float64 uniforms and
+        the alias-pick temporaries never exceed one block.  Each stream
+        still consumes one uniform per element in schedule order, so
+        the plan equals a single whole-plan draw bit for bit.
+        """
         if n_pairs < 1:
             raise ValueError(f"n_pairs must be positive, got {n_pairs!r}")
         s = self.sampler
+        dt = _index_dtype(s.network.n_ties)
+        e = np.empty(n_pairs, dtype=dt)
+        successor = np.empty(n_pairs, dtype=dt)
+        negatives = np.empty((n_pairs, self.n_negative), dtype=dt)
         with trace_span(
             "estep.sample", pairs=int(n_pairs), n_negative=self.n_negative,
             planned=True,
         ):
-            e = s.planned_pairs(self._pair_rng.random(n_pairs))
-            successor = s.planned_successors(e, self._succ_rng.random(n_pairs))
-            negatives = s.planned_negatives(
-                self._neg_rng.random((n_pairs, self.n_negative))
-            )
+            for rows in row_blocks(n_pairs):
+                m = rows.stop - rows.start
+                e[rows] = s.planned_pairs(self._pair_rng.random(m))
+                successor[rows] = s.planned_successors(
+                    e[rows], self._succ_rng.random(m)
+                )
+                negatives[rows] = s.planned_negatives(
+                    self._neg_rng.random((m, self.n_negative))
+                )
         self.n_plans += 1
         return SamplePlan(e, successor, negatives, batch_size)
 

@@ -11,11 +11,46 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from ..utils import check_finite_array, check_non_negative
+from ..utils import check_finite_array, check_non_negative, row_blocks
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+
+
+def _row_scores(block: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
+    """``block·w + b`` per row.
+
+    einsum sums each row in a fixed order, so a row's score does not
+    depend on how many rows share its block; a BLAS matvec's does.
+    """
+    return np.einsum("ij,j->i", block, w) + b
+
+
+class _Float64Rows:
+    """Row blocks of a design matrix as float64, through one buffer.
+
+    Iterating yields ``(rows, block)`` pairs covering the matrix.  A
+    float64 matrix yields views; any other dtype is upcast one block at
+    a time into a buffer the size of one block, reused by every pass,
+    so no ``(n, d)`` float64 copy is ever made.  Consume each block
+    before taking the next.
+    """
+
+    def __init__(self, features: np.ndarray) -> None:
+        self.features = features
+        self._buffer: np.ndarray | None = None
+
+    def __iter__(self):
+        for rows in row_blocks(len(self.features)):
+            block = self.features[rows]
+            if block.dtype != np.float64:
+                if self._buffer is None:  # the first block is the largest
+                    self._buffer = np.empty(block.shape)
+                upcast = self._buffer[: len(block)]
+                np.copyto(upcast, block)
+                block = upcast
+            yield rows, block
 
 
 class LogisticRegression:
@@ -62,7 +97,8 @@ class LogisticRegression:
         Parameters
         ----------
         features:
-            ``(n, d)`` design matrix.
+            ``(n, d)`` design matrix of any real dtype; float32 rows are
+            upcast one block at a time, never as a whole.
         targets:
             Length-``n`` targets in [0, 1].
         sample_weight:
@@ -72,12 +108,13 @@ class LogisticRegression:
             Optional ``(weights, bias)`` initial point — the D-Step warm
             start from the E-Step head.
         """
-        features = check_finite_array(
-            np.asarray(features, dtype=float), "features"
-        )
+        features = np.asarray(features)
         targets = np.asarray(targets, dtype=float)
         if features.ndim != 2 or len(features) != len(targets):
             raise ValueError("features must be (n, d) aligned with targets")
+        blocks = _Float64Rows(features)
+        for _, block in blocks:
+            check_finite_array(block, "features")
         if np.any((targets < 0) | (targets > 1)):
             raise ValueError("targets must lie in [0, 1]")
         n, d = features.shape
@@ -98,19 +135,25 @@ class LogisticRegression:
             x0 = np.zeros(d + 1)
 
         def objective(params: np.ndarray) -> tuple[float, np.ndarray]:
+            # The loss and X.T @ residual are sums over rows, accumulated
+            # in float64 one row block at a time.
             w, b = params[:d], params[d]
-            z = features @ w + b
-            p = _sigmoid(z)
-            ce = -(
-                targets * np.log(np.maximum(p, 1e-12))
-                + (1 - targets) * np.log(np.maximum(1 - p, 1e-12))
-            )
-            loss = float((sample_weight * ce).sum() / weight_sum)
-            loss += 0.5 * self.l2 * float(w @ w)
-            residual = sample_weight * (p - targets) / weight_sum
-            grad_w = features.T @ residual + self.l2 * w
-            grad_b = residual.sum()
-            return loss, np.concatenate([grad_w, [grad_b]])
+            ce_sum = 0.0
+            grad = np.zeros(d + 1)
+            for rows, block in blocks:
+                p = _sigmoid(_row_scores(block, w, b))
+                t, sw = targets[rows], sample_weight[rows]
+                ce = -(
+                    t * np.log(np.maximum(p, 1e-12))
+                    + (1 - t) * np.log(np.maximum(1 - p, 1e-12))
+                )
+                ce_sum += float((sw * ce).sum())
+                residual = sw * (p - t) / weight_sum
+                grad[:d] += block.T @ residual
+                grad[d] += residual.sum()
+            grad[:d] += self.l2 * w
+            loss = ce_sum / weight_sum + 0.5 * self.l2 * float(w @ w)
+            return loss, grad
 
         self.initial_loss_ = float(objective(x0)[0])
         result = optimize.minimize(
@@ -131,9 +174,13 @@ class LogisticRegression:
             raise RuntimeError("model is not fitted; call fit() first")
 
     def decision_function(self, features: np.ndarray) -> np.ndarray:
-        """Raw scores ``X·w + b``."""
+        """Raw float64 scores ``X·w + b``, upcast one row block at a time."""
         self._check_fitted()
-        return np.asarray(features, dtype=float) @ self.weights_ + self.bias_
+        features = np.asarray(features)
+        scores = np.empty(len(features))
+        for rows, block in _Float64Rows(features):
+            scores[rows] = _row_scores(block, self.weights_, self.bias_)
+        return scores
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Probabilities ``σ(X·w + b)`` — the directionality values."""

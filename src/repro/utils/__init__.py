@@ -1,5 +1,6 @@
-"""Small shared helpers (determinism, validation)."""
+"""Small shared helpers (determinism, validation, row blocks)."""
 
+from .blocks import row_blocks
 from .rng import ensure_rng, spawn
 from .validation import (
     check_finite_array,
@@ -14,5 +15,6 @@ __all__ = [
     "check_positive",
     "check_probability",
     "ensure_rng",
+    "row_blocks",
     "spawn",
 ]
