@@ -872,8 +872,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         dest="batch_window_ms",
-        help="micro-batching window: how long the leader request waits "
-        "to coalesce concurrent /score callers into one vectorized pass",
+        help="micro-batching window: the longest the leader request "
+        "waits to coalesce concurrent /score callers into one vectorized "
+        "pass; it waits only when the previous request arrived within "
+        "the window",
     )
     serve.add_argument(
         "--smoke",

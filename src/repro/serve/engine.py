@@ -12,7 +12,8 @@ an artifact) and answers directionality queries as *batches*:
 * **Micro-batching** (:meth:`ScoringEngine.score_pairs_coalesced`):
   concurrent requests arriving within a small window are coalesced into
   one vectorised scoring call — the server threads pay one lookup for
-  the whole window instead of one each.
+  the whole window instead of one each.  A request that arrives alone
+  (the previous one came more than a window earlier) does not wait.
 * :meth:`ScoringEngine.discover_pairs` — Eq. 28 direction discovery for
   undirected pairs, batched.
 
@@ -24,9 +25,11 @@ as training runs.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import OrderedDict
+from itertools import compress
 
 import numpy as np
 
@@ -66,8 +69,10 @@ class ScoringEngine:
         Maximum ``(u, v)`` entries in the per-pair LRU cache; ``0``
         disables caching.
     batch_window_s:
-        How long the leader of a coalescing round waits for concurrent
-        requests to pile up before scoring them together.
+        The longest the leader of a coalescing round waits for
+        concurrent requests to pile up before scoring them together.
+        It waits only when the previous request arrived within the
+        window (see :meth:`score_pairs_coalesced`); ``0`` never waits.
     max_coalesced_pairs:
         Pair budget of one coalescing round; a round closes early once
         the pending requests reach it.
@@ -109,6 +114,12 @@ class ScoringEngine:
         self._pending: list[_Request] = []
         self._pending_pairs = 0
         self._leader_active = False
+        # Whether a leader waits for company (see score_pairs_coalesced):
+        # the latest caller's arrival, the callers now inside it, and
+        # whether the last wait found nobody.
+        self._last_arrival = -math.inf
+        self._in_flight = 0
+        self._lonely = False
         self.started_at = time.time()
 
     # -- helpers --------------------------------------------------------
@@ -137,27 +148,39 @@ class ScoringEngine:
             raise GraphMismatchError(self.fingerprint, str(fingerprint))
 
     def _cache_get_many(
-        self, pairs: np.ndarray
+        self, keys: list[tuple[int, int]]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Cached values (NaN where absent) and the boolean hit mask."""
-        values = np.full(len(pairs), np.nan)
-        hits = np.zeros(len(pairs), dtype=bool)
-        with self._cache_lock:
-            for i, (u, v) in enumerate(pairs):
-                cached = self._cache.get((int(u), int(v)))
+        hit_at: list[int] = []
+        hit_values: list[float] = []
+        cache = self._cache
+        with span("serve.cache", op="get", pairs=len(keys)), self._cache_lock:
+            for i, key in enumerate(keys):
+                cached = cache.get(key)
                 if cached is not None:
-                    self._cache.move_to_end((int(u), int(v)))
-                    values[i] = cached
-                    hits[i] = True
+                    cache.move_to_end(key)
+                    hit_at.append(i)
+                    hit_values.append(cached)
+        at = np.asarray(hit_at, dtype=np.intp)
+        values = np.full(len(keys), np.nan)
+        values[at] = hit_values
+        hits = np.zeros(len(keys), dtype=bool)
+        hits[at] = True
         return values, hits
 
-    def _cache_put_many(self, pairs: np.ndarray, scores: np.ndarray) -> None:
-        with self._cache_lock:
-            for (u, v), score in zip(pairs, scores):
-                self._cache[(int(u), int(v))] = float(score)
-                self._cache.move_to_end((int(u), int(v)))
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
+    def _cache_put_many(
+        self, keys: list[tuple[int, int]], scores: np.ndarray
+    ) -> None:
+        cache = self._cache
+        with span("serve.cache", op="put", pairs=len(keys)), self._cache_lock:
+            for key, score in zip(keys, scores.tolist()):
+                # A new key lands at the end already; one scored twice
+                # (a repeated pair, or two rounds racing) moves there.
+                if key in cache:
+                    cache.move_to_end(key)
+                cache[key] = score
+            while len(cache) > self.cache_size:
+                cache.popitem(last=False)
 
     # -- scoring --------------------------------------------------------
 
@@ -191,17 +214,20 @@ class ScoringEngine:
                 hits = np.zeros(len(pairs), dtype=bool)
                 self.metrics.counter("serve.cache_misses").inc(len(pairs))
             else:
-                scores, hits = self._cache_get_many(pairs)
-                n_miss = int((~hits).sum())
+                keys = list(map(tuple, pairs.tolist()))
+                scores, hits = self._cache_get_many(keys)
+                miss = ~hits
+                n_miss = int(miss.sum())
                 self.metrics.counter("serve.cache_hits").inc(
                     len(pairs) - n_miss
                 )
                 self.metrics.counter("serve.cache_misses").inc(n_miss)
                 if n_miss:
-                    missed = pairs[~hits]
-                    fresh = self.model.directionality_batch(missed)
-                    scores[~hits] = fresh
-                    self._cache_put_many(missed, fresh)
+                    fresh = self.model.directionality_batch(pairs[miss])
+                    scores[miss] = fresh
+                    self._cache_put_many(
+                        list(compress(keys, miss.tolist())), fresh
+                    )
             n_hits = int(hits.sum())
             self.metrics.counter("serve.requests").inc()
             self.metrics.counter("serve.pairs").inc(len(pairs))
@@ -233,12 +259,18 @@ class ScoringEngine:
     ) -> np.ndarray:
         """Like :meth:`score_pairs`, coalescing concurrent callers.
 
-        The first caller of a round becomes the *leader*: it waits
-        ``batch_window_s`` for other threads to enqueue their pairs,
-        then scores everything pending in one vectorised call and
-        distributes the slices.  Later callers just wait on their slice.
-        With a single caller this degrades to ``score_pairs`` plus one
-        short sleep.  An ``info`` dict, when given, receives this
+        The first caller of a round becomes the *leader*.  It waits up
+        to ``batch_window_s`` for other threads to enqueue their pairs,
+        and only when the previous caller arrived within that window:
+        a lone request scores at once, while under load (arrival gaps
+        shorter than the window) rounds coalesce.  A wait that collects
+        nobody (one client sending requests back to back) also stops
+        the waits after it, until a caller arrives while another is
+        still in flight.  The wait ends early once
+        ``max_coalesced_pairs`` are pending.  The leader then scores
+        everything pending in one vectorised call and distributes the
+        slices; later callers just wait on their slice.  An ``info``
+        dict, when given, receives this
         caller's position in its round (``round_requests``,
         ``round_position``, ``round_pairs``) and its own
         ``cache_hits`` — the request-correlated detail the access log
@@ -247,14 +279,23 @@ class ScoringEngine:
         self.check_fingerprint(fingerprint)
         request = _Request(self._as_pairs(pairs))
         with self._mb_lock:
+            now = time.perf_counter()
+            if self._in_flight:
+                self._lonely = False
+            busy = (
+                now - self._last_arrival < self.batch_window_s
+                and not self._lonely
+            )
+            self._last_arrival = now
+            self._in_flight += 1
             self._pending.append(request)
             self._pending_pairs += len(request.pairs)
             leader = not self._leader_active
             if leader:
                 self._leader_active = True
         if leader:
-            if self.batch_window_s > 0:
-                deadline = time.perf_counter() + self.batch_window_s
+            if busy:
+                deadline = now + self.batch_window_s
                 while time.perf_counter() < deadline:
                     with self._mb_lock:
                         if self._pending_pairs >= self.max_coalesced_pairs:
@@ -265,8 +306,12 @@ class ScoringEngine:
                 self._pending = []
                 self._pending_pairs = 0
                 self._leader_active = False
+                if busy:
+                    self._lonely = len(batch) == 1
             self._score_round(batch)
         request.done.wait()
+        with self._mb_lock:
+            self._in_flight -= 1
         if info is not None:
             info.update(request.info)
         if request.error is not None:

@@ -109,8 +109,15 @@ class _ApiError(Exception):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # Headers and body go out as two writes; with Nagle on, the body
-    # waits for the client's delayed ACK of the headers (~40 ms).
+    # Buffer the response: ``handle_one_request`` flushes headers and
+    # body as one write after ``_dispatch`` returns, so a request's
+    # access-log record is written before the client can read the
+    # response and send its next request.  A body larger than the
+    # buffer (8 KiB) still streams out before the record.
+    wbufsize = -1
+    # Headers and body that do not fit one write still go out as two;
+    # with Nagle on, the second waits for the client's delayed ACK of
+    # the first (~40 ms).
     disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
@@ -120,6 +127,13 @@ class _Handler(BaseHTTPRequestHandler):
         # request stderr spam; --verbose restores the stdlib lines.
         if self.server.verbose:  # pragma: no cover - log cosmetics
             super().log_message(format, *args)
+
+    def handle_expect_100(self) -> bool:
+        # The interim 100 Continue must reach the client before it
+        # sends the body, not sit in the response buffer.
+        ok = super().handle_expect_100()
+        self.wfile.flush()
+        return ok
 
     def _send(
         self,
@@ -141,8 +155,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond(
         self, status: int, payload: dict[str, Any], request_id: str
     ) -> None:
-        payload = {"schema": SERVE_SCHEMA, **payload}
-        body = json.dumps(payload).encode("utf-8")
+        with span("serve.encode"):
+            payload = {"schema": SERVE_SCHEMA, **payload}
+            body = json.dumps(payload).encode("utf-8")
         self._send(status, body, "application/json", request_id)
 
     def _respond_error(self, exc: _ApiError, request_id: str) -> None:
@@ -331,7 +346,8 @@ class _Handler(BaseHTTPRequestHandler):
         start: float,
         log_fields: dict[str, Any],
     ) -> int:
-        pairs, payload = self._read_pairs()
+        with span("serve.parse"):
+            pairs, payload = self._read_pairs()
         fingerprint = payload.get("fingerprint")
         info: dict[str, Any] = {}
         if payload.get("cache", True):
@@ -349,7 +365,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(
             200,
             {
-                "scores": [float(s) for s in scores],
+                "scores": scores.tolist(),
                 "count": int(len(scores)),
                 "latency_ms": round((time.perf_counter() - start) * 1e3, 3),
             },
@@ -365,7 +381,8 @@ class _Handler(BaseHTTPRequestHandler):
         start: float,
         log_fields: dict[str, Any],
     ) -> int:
-        pairs, payload = self._read_pairs()
+        with span("serve.parse"):
+            pairs, payload = self._read_pairs()
         directions = engine.discover_pairs(
             pairs, fingerprint=payload.get("fingerprint")
         )
@@ -373,7 +390,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(
             200,
             {
-                "directions": [[int(u), int(v)] for u, v in directions],
+                "directions": directions.tolist(),
                 "count": int(len(directions)),
                 "latency_ms": round((time.perf_counter() - start) * 1e3, 3),
             },

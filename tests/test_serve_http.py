@@ -278,3 +278,103 @@ def test_healthz_reports_fingerprint(served):
     server, engine = served
     payload = _get(server.url + "/healthz")
     assert payload["fingerprint"] == engine.fingerprint
+
+
+# -- response encoding and transport --------------------------------------
+
+
+class _Float32Scores:
+    """``inner``'s scores as float32, the dtype a float32 artifact serves."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.network = inner.network
+
+    def _check_fitted(self):
+        return self.inner._check_fitted()
+
+    def directionality_batch(self, pairs):
+        return self.inner.directionality_batch(pairs).astype(np.float32)
+
+
+def _post_raw(url: str, payload: dict) -> bytes:
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=30) as response:
+        return response.read()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_score_bytes_equal_the_per_element_encoding(model, dtype):
+    """``scores.tolist()`` encodes exactly as ``[float(s) for s in
+    scores]`` did, whatever the model's score dtype."""
+    scorer = model if dtype is np.float64 else _Float32Scores(model)
+    net = model.network
+    pairs = np.column_stack([net.tie_src[:200], net.tie_dst[:200]])
+    with ModelServer(ScoringEngine(scorer), port=0) as server:
+        body = _post_raw(
+            server.url + "/score", {"pairs": pairs.tolist(), "cache": False}
+        )
+    scores = scorer.directionality_batch(pairs)
+    assert scores.dtype == dtype
+    expected = {
+        "schema": SERVE_SCHEMA,
+        "scores": [float(s) for s in scores],
+        "count": len(scores),
+        "latency_ms": json.loads(body)["latency_ms"],
+    }
+    assert body == json.dumps(expected).encode("utf-8")
+
+
+def test_discover_bytes_equal_the_per_element_encoding(served, model):
+    from repro.graph import TieKind
+
+    server, engine = served
+    undirected = model.network.social_ties(TieKind.UNDIRECTED)[:200]
+    body = _post_raw(
+        server.url + "/discover", {"pairs": undirected.tolist()}
+    )
+    directions = engine.discover_pairs(undirected)
+    expected = {
+        "schema": SERVE_SCHEMA,
+        "directions": [[int(u), int(v)] for u, v in directions],
+        "count": len(directions),
+        "latency_ms": json.loads(body)["latency_ms"],
+    }
+    assert body == json.dumps(expected).encode("utf-8")
+
+
+def test_expect_100_continue_is_sent_before_the_body(served, model):
+    """Responses are buffered until the handler returns; the interim
+    ``100 Continue`` must still leave at once, or a client that waits
+    for it (curl does, for bodies over 1 KiB) stalls."""
+    server, _engine = served
+    net = model.network
+    pairs = [[int(net.tie_src[0]), int(net.tie_dst[0])]]
+    body = json.dumps({"pairs": pairs}).encode("utf-8")
+    head = (
+        "POST /score HTTP/1.1\r\n"
+        f"Host: {server.host}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        "Expect: 100-continue\r\n\r\n"
+    )
+    with socket.create_connection(
+        (server.host, server.port), timeout=5
+    ) as sock:
+        reader = sock.makefile("rb")
+        sock.sendall(head.encode("ascii"))
+        assert reader.readline().startswith(b"HTTP/1.1 100")
+        assert reader.readline() == b"\r\n"
+        sock.sendall(body)
+        assert reader.readline().startswith(b"HTTP/1.1 200")
+        length = 0
+        while (line := reader.readline()) != b"\r\n":
+            name, _, value = line.decode("ascii").partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        payload = json.loads(reader.read(length))
+    assert payload["count"] == 1

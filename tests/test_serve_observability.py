@@ -316,3 +316,65 @@ class TestEndpointHistograms:
         _request(server.url + "/score", data=b"{nope")
         hist = engine.metrics.histogram("serve.http.score.latency_ms")
         assert _wait_for_count(hist, 1) == 1
+
+
+class TestResponseOrdering:
+    def test_access_log_record_is_written_before_the_response(
+        self, model, tmp_path
+    ):
+        """Once the client holds a /score response, that request's
+        record is already in the log: the next request cannot be
+        logged ahead of it."""
+        log_path = tmp_path / "access.jsonl"
+        engine = ScoringEngine(model)
+        with ModelServer(engine, port=0, access_log=log_path) as server:
+            for i in range(20):
+                request_id = f"0dde7{i:011d}"
+                status, _headers, _body = _request(
+                    server.url + "/score",
+                    data=_score_body(model.network, seed=i),
+                    headers={"X-Request-Id": request_id},
+                )
+                assert status == 200
+                records = read_access_log(log_path)
+                assert len(records) == i + 1
+                assert records[-1]["request_id"] == request_id
+
+
+class TestServingSpans:
+    def test_traced_score_breaks_down_under_its_request(self, model):
+        """parse, cache and encode spans nest under the request's own
+        ``serve.request`` span, found by its request id."""
+        tracer = Tracer()
+        engine = ScoringEngine(model)
+        with ModelServer(engine, port=0, tracer=tracer) as server:
+            for request_id in ("5ca1ab1e00000001", "5ca1ab1e00000002"):
+                _request(
+                    server.url + "/score",
+                    data=_score_body(model.network),
+                    headers={"X-Request-Id": request_id},
+                )
+        records = tracer.snapshot()
+        by_id = {r["id"]: r for r in records}
+
+        def request_of(record):
+            while record["name"] != "serve.request":
+                if record["parent"] is None:
+                    return None
+                record = by_id[record["parent"]]
+            return record["attrs"]["request_id"]
+
+        names: dict[str | None, list[str]] = {}
+        for record in records:
+            names.setdefault(request_of(record), []).append(record["name"])
+        for request_id in ("5ca1ab1e00000001", "5ca1ab1e00000002"):
+            spans = names[request_id]
+            assert spans.count("serve.parse") == 1
+            assert spans.count("serve.encode") == 1
+            assert "serve.score" in spans
+            assert "serve.cache" in spans
+        # The second request repeats the first's pairs: all hits, no put.
+        cache_ops = [
+            r["attrs"]["op"] for r in records if r["name"] == "serve.cache"
+        ]
+        assert sorted(cache_ops) == ["get", "get", "put"]
