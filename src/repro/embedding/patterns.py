@@ -209,7 +209,10 @@ def _intersect_chunk(
     # v-side) duo.  The three keys pack injectively into one int64
     # (side is a bit, nbr < n_nodes), and a single stable argsort of
     # that composite is ~10x faster than the three-pass ``np.lexsort``;
-    # the permutation is identical.  Fall back for absurdly large
+    # the permutation is identical.  The u-side and v-side halves are
+    # each already sorted, so the stable sort (timsort) is one linear
+    # merge; the store's ``packed_argsort``, whose value sort ignores
+    # existing order, is ~2x slower here.  Fall back for absurdly large
     # graphs where the packing could overflow.
     nbr_span = np.int64(network.n_nodes) + 1
     if len(canon) < np.iinfo(np.int64).max // (2 * nbr_span):

@@ -81,6 +81,12 @@ _STORE_ARRAYS = (
     "key_order",
 )
 
+#: Elements widened per ``digest.update`` call in :func:`tie_fingerprint`.
+_HASH_BLOCK = 1 << 16
+#: Value bits :func:`packed_argsort` may fill before it falls back to
+#: ``argsort`` (private so tests can force the fallback).
+_PACK_BITS = 63
+
 
 class GraphValidationError(ValueError):
     """Raised when tie lists or store files violate the graph contract."""
@@ -103,9 +109,45 @@ def tie_fingerprint(
     """
     digest = hashlib.sha256()
     digest.update(str(int(n_nodes)).encode("utf-8"))
+    # Widen block by block into one reused buffer: the byte stream (and
+    # so the digest) is that of the whole int64 column, and no
+    # full-length copy of a column is made.
+    buffer = np.empty(_HASH_BLOCK, dtype=np.int64)
     for array in (tie_src, tie_dst, tie_kind):
-        digest.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
+        flat = np.ravel(array)
+        for start in range(0, len(flat), _HASH_BLOCK):
+            block = flat[start : start + _HASH_BLOCK]
+            widened = buffer[: len(block)]
+            widened[...] = block
+            digest.update(widened)
     return f"sha256:{digest.hexdigest()}"
+
+
+def packed_argsort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sorted keys, np.argsort(keys, kind="stable"))`` from one value sort.
+
+    ``keys`` must be a writable int64 array; it is consumed.  Shifting
+    each key left and ORing its index into the low bits makes every
+    value unique and orders equal keys by index, so one in-place
+    ``np.sort`` (numpy's SIMD value sort, ~3x faster than ``argsort``
+    plus the gather) yields both the sorted keys (``>> bits``) and the
+    stable permutation (``& mask``).  Negative keys, or keys too wide to
+    share 63 bits with the index, fall back to a stable ``argsort``,
+    which gives the same result.
+    """
+    n = len(keys)
+    id_bits = max(n - 1, 0).bit_length()
+    if not n or keys.min() < 0 or (
+        int(keys.max()).bit_length() + id_bits > _PACK_BITS
+    ):
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    keys <<= id_bits
+    keys |= np.arange(n, dtype=np.int64)
+    keys.sort()
+    order = keys & ((1 << id_bits) - 1)
+    keys >>= id_bits
+    return keys, order
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -239,13 +281,10 @@ class _TieStoreBase:
     def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR over nodes -> outgoing oriented tie ids, ascending per row.
 
-        The composite ``src * n_ties + id`` is unique, so its unstable
-        sort is exactly the stable sort of ``tie_src``.
+        The order is the stable sort of ``tie_src``.
         """
         if self._out_csr is None:
-            composite = self._tie_src.astype(np.int64) * np.int64(self.n_ties)
-            composite += np.arange(self.n_ties)
-            order = np.argsort(composite)
+            _, order = packed_argsort(self._tie_src.astype(np.int64))
             counts = np.bincount(self._tie_src, minlength=self._n_nodes)
             offsets = np.zeros(self._n_nodes + 1, dtype=INDPTR_DTYPE)
             np.cumsum(counts, out=offsets[1:])
@@ -277,22 +316,20 @@ class _TieStoreBase:
         """Sorted ``src * n + dst`` int64 keys + matching tie ids.
 
         Keys are unique in every store that exists (construction fails
-        on a repeated oriented tie), so the default unstable sort gives
-        the one and only sorting permutation.
+        on a repeated oriented tie), so there is one and only one
+        sorting permutation.
         """
         if self._tie_key_index is None:
             keys = self._tie_src.astype(np.int64) * np.int64(
                 self._n_nodes
             ) + self._tie_dst
             if self._key_order is None:
-                self._key_order = _readonly(
-                    np.argsort(keys).astype(TIE_INDEX_DTYPE)
-                )
-            order = self._key_order.astype(np.int64)
-            self._tie_key_index = (
-                _readonly(keys[order]),
-                _readonly(order),
-            )
+                keys, order = packed_argsort(keys)
+                self._key_order = _readonly(order.astype(TIE_INDEX_DTYPE))
+            else:
+                order = self._key_order.astype(np.int64)
+                keys = keys[order]
+            self._tie_key_index = (_readonly(keys), _readonly(order))
         return self._tie_key_index
 
     def key_order(self) -> np.ndarray:
@@ -642,10 +679,12 @@ def write_store(store: GraphStore, path: str | os.PathLike) -> Path:
         array = payload[name]
         file_path = root / f"{name}.npy"
         np.save(file_path, array)
+        # The file is the .npy header followed by the array's own bytes,
+        # so only the header is read back.
         digest = hashlib.sha256()
         with open(file_path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
+            digest.update(fh.read(os.path.getsize(file_path) - array.nbytes))
+        digest.update(array)
         manifest[name] = {
             "dtype": str(array.dtype),
             "shape": list(array.shape),

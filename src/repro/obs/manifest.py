@@ -39,23 +39,15 @@ MANIFEST_SCHEMA = "repro_manifest/v1"
 def network_fingerprint(network) -> dict[str, Any]:
     """Content fingerprint of a :class:`~repro.graph.MixedSocialNetwork`.
 
-    Hashes the node count and the oriented tie arrays (sources,
-    destinations, kinds) via :func:`repro.graph.store.tie_fingerprint`,
-    which canonicalises the column dtypes first — so the digest is
-    identical whether the network lives in memory (int32 columns) or
-    behind a memory-mapped store, and matches the ``fingerprint`` field
-    of a :class:`~repro.graph.store.GraphStore` manifest by
-    construction.  Returns the digest plus the shape facts a reader
-    wants at a glance.
+    The digest is ``network.store.fingerprint()``: the
+    :func:`repro.graph.store.tie_fingerprint` of the node count and the
+    oriented tie columns, canonicalised to int64 — so it is identical
+    whether the network lives in memory or behind a memory-mapped store
+    (whose manifest records it), and each store hashes at most once.
+    Returns the digest plus the shape facts a reader wants at a glance.
     """
-    # Imported lazily: repro.graph imports repro.obs at module load.
-    from ..graph.store import tie_fingerprint
-
     return {
-        "fingerprint": tie_fingerprint(
-            network.n_nodes, network.tie_src, network.tie_dst,
-            network.tie_kind,
-        ),
+        "fingerprint": network.store.fingerprint(),
         "n_nodes": int(network.n_nodes),
         "n_ties": int(network.n_ties),
         "n_undirected": int(network.n_undirected),

@@ -119,18 +119,22 @@ def network_from_arrays(
     tie_src = np.asarray(tie_src)
     tie_dst = np.asarray(tie_dst)
     tie_kind = np.asarray(tie_kind)
-    pairs = np.column_stack([tie_src, tie_dst])
     nd = int(np.count_nonzero(tie_kind == int(TieKind.DIRECTED)))
     nb = int(np.count_nonzero(tie_kind == int(TieKind.BIDIRECTIONAL))) // 2
     nu = int(np.count_nonzero(tie_kind == int(TieKind.UNDIRECTED))) // 2
-    if len(pairs) != 2 * (nd + nb + nu):
+    if not len(tie_src) == len(tie_dst) == 2 * (nd + nb + nu):
         raise ArtifactError(
-            f"inconsistent tie arrays: {len(pairs)} oriented ties cannot "
+            f"inconsistent tie arrays: {len(tie_src)} oriented ties cannot "
             f"expand from |E_d|={nd}, |E_b|={nb}, |E_u|={nu}"
         )
-    e_d = pairs[:nd]
-    e_b = pairs[2 * nd : 2 * nd + nb]
-    e_u = pairs[2 * nd + 2 * nb : 2 * nd + 2 * nb + nu]
+
+    def pairs(start: int, count: int) -> np.ndarray:
+        stop = start + count
+        return np.stack([tie_src[start:stop], tie_dst[start:stop]], axis=1)
+
+    e_d = pairs(0, nd)
+    e_b = pairs(2 * nd, nb)
+    e_u = pairs(2 * nd + 2 * nb, nu)
     try:
         network = MixedSocialNetwork(
             int(n_nodes), e_d, e_b, e_u, validate=False
@@ -354,9 +358,11 @@ def load_model_artifact(
         Optional model class the bundle must hold (mismatches raise
         :class:`ArtifactError`).
 
-    The reconstructed network is re-fingerprinted and compared against
-    the stored dataset fingerprint, so id-to-tie alignment of the
-    restored scores is guaranteed, not assumed.
+    The reconstructed network's store hashes its own columns (once; the
+    digest is cached, so a :class:`~repro.serve.ScoringEngine` over the
+    model reuses it) and is compared against the stored dataset
+    fingerprint, so id-to-tie alignment of the restored scores is
+    guaranteed, not assumed.
     """
     with span("serve.load_artifact"):
         meta, arrays = _read_bundle(path, kind="model")
