@@ -13,12 +13,15 @@ and once per directionality adjacency matrix reproduces Fig. 8.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from ..graph import MixedSocialNetwork
 from ..utils import ensure_rng
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def jaccard_scores(adjacency: sparse.csr_matrix, pairs: np.ndarray) -> np.ndarray:

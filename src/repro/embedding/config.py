@@ -78,13 +78,6 @@ class DeepDirectConfig:
         draws always happen in float64 and are rounded once at
         initialisation, so the sampling stream is identical across
         dtypes.
-    plan_epochs:
-        Sample-plan granularity in epochs: each plan mega-draws about
-        ``plan_epochs * |C(G)|`` pairs (plus their successors and
-        negatives) in three vectorized calls, amortising per-batch
-        sampling overhead.  Plan draws are granularity-invariant — any
-        chunking yields bit-identical samples — so this knob trades only
-        peak plan memory against amortisation, never the trajectory.
     kernel:
         Which E-Step batch kernel runs the Eq. 21-25 updates:
         ``"fused"`` (default) is the vectorised production path with
@@ -109,7 +102,6 @@ class DeepDirectConfig:
     workers: int = 1
     min_pairs_per_worker: int = 50_000
     dtype: str = "float64"
-    plan_epochs: float = 1.0
     kernel: str = "fused"
 
     def __post_init__(self) -> None:
@@ -140,7 +132,6 @@ class DeepDirectConfig:
                 "dtype must be 'float64' or 'float32', got "
                 f"{self.dtype!r}"
             )
-        check_positive(self.plan_epochs, "plan_epochs")
         if self.kernel not in ("fused", "reference"):
             raise ValueError(
                 "kernel must be 'fused' or 'reference', got "

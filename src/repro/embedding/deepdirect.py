@@ -52,7 +52,7 @@ from ..obs import (
 from ..obs.health import HealthMonitor, maybe_poison
 from ..utils import ensure_rng, row_blocks
 from .config import DeepDirectConfig
-from .hogwild import run_hogwild, should_degrade
+from .hogwild import SegmentArray, run_hogwild, should_degrade
 from .kernels import (
     BatchLoss,
     EStepWorkspace,
@@ -65,7 +65,12 @@ from .patterns import (
     build_triad_neighborhoods,
     degree_pseudo_labels,
 )
-from .samplers import ConnectedPairSampler, SamplePlan, SamplePlanner
+from .samplers import (
+    ConnectedPairSampler,
+    SamplePlan,
+    SamplePlanner,
+    planned_batches,
+)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -85,9 +90,12 @@ class EmbeddingResult:
     embeddings:
         ``M``: one ``l``-dimensional row per oriented tie id.
     contexts:
-        ``N``: the connection vectors (used only during training; kept
-        for inspection and incremental retraining).  ``None`` on a
-        result restored from a model artifact, which omits ``N``.
+        ``N``: the connection vectors, used only during training.
+        :meth:`DeepDirectEmbedding.fit` returns it for inspection and
+        incremental retraining; it is ``None`` on the ``embedding_`` of
+        a fitted :class:`~repro.models.DeepDirectModel`, which releases
+        N after the E-Step, and on a result restored from a model
+        artifact, which omits N.
     classifier_weights, classifier_bias:
         The jointly trained logistic head ``(w', b')`` — the warm start
         for the D-Step.
@@ -207,8 +215,6 @@ class DeepDirectEmbedding:
             setup_sp.set(use_patterns=bool(use_patterns))
 
         dt = np.dtype(cfg.dtype)
-        M = _uniform_init(rng, n_ties, l, dt)
-        N = np.zeros((n_ties, l), dtype=dt)
         w_prime = np.zeros(l, dtype=dt)
         b_prime = 0.0
         labels = labels.astype(dt, copy=False)
@@ -265,22 +271,17 @@ class DeepDirectEmbedding:
                 fit_begin_logs["requested_workers"] = cfg.workers
             cb.on_fit_begin(run, fit_begin_logs)
 
+        # M is drawn here, or inside the HOGWILD segment.  The planner's
+        # ``rng.spawn`` does not advance ``rng``, so both draw the same M.
         if workers > 1:
             return self._fit_parallel(
                 sampler, planner, triads, labels, labeled_mask,
-                undirected_mask, y_degree, M, N, w_prime, b_prime,
+                undirected_mask, y_degree, w_prime, b_prime,
                 n_batches, pairs_per_epoch, rng, cb, run, metrics,
                 log_every, fit_start, health,
             )
-
-        # Plan in ``plan_epochs``-sized chunks of whole batches; plan
-        # draws are granularity-invariant, so chunking only bounds the
-        # plan's memory footprint, never changes the trajectory.
-        batches_per_plan = max(
-            1, -(-int(cfg.plan_epochs * pairs_per_epoch) // cfg.batch_size)
-        )
-        plan: SamplePlan | None = None
-        plan_start = 0
+        M = _uniform_init(rng, n_ties, l, dt)
+        N = np.zeros((n_ties, l), dtype=dt)
 
         loss_history: list[tuple[int, float]] = []
         epoch = 0
@@ -294,15 +295,14 @@ class DeepDirectEmbedding:
         health_arrays = {"M": M, "N": N, "w_prime": w_prime}
         with span("estep.train", n_batches=n_batches,
                   batch_size=cfg.batch_size) as train_sp:
-            for batch_idx in range(n_batches):
+            # Plan draws are granularity-invariant, so the byte-bounded
+            # segments bound the plan's memory, never the trajectory.
+            batches = planned_batches(
+                planner.draw, n_batches, cfg.batch_size,
+                planner.bytes_per_pair,
+            )
+            for batch_idx, (e, successor, negatives) in enumerate(batches):
                 lr = cfg.learning_rate * max(1.0 - batch_idx / n_batches, 0.01)
-                if plan is None or batch_idx - plan_start >= plan.n_batches:
-                    plan_start = batch_idx
-                    chunk = min(batches_per_plan, n_batches - batch_idx)
-                    plan = planner.plan(
-                        chunk * cfg.batch_size, cfg.batch_size
-                    )
-                e, successor, negatives = plan.batch(batch_idx - plan_start)
                 if health is not None:
                     maybe_poison(batch_idx, health_arrays)
                 loss = self._train_batch(
@@ -391,8 +391,6 @@ class DeepDirectEmbedding:
         labeled_mask: np.ndarray,
         undirected_mask: np.ndarray,
         y_degree: np.ndarray,
-        M: np.ndarray,
-        N: np.ndarray,
         w_prime: np.ndarray,
         b_prime: float,
         n_batches: int,
@@ -417,6 +415,10 @@ class DeepDirectEmbedding:
         HOGWILD slower than sequential).  The backend calls
         ``task.shard(start, stop)`` per worker, so each worker receives
         only its contiguous slice of the plan as zero-copy views.
+
+        M and N live only in the shared segment: M is initialised there
+        (the same draw as the sequential path) and N is the segment's
+        zero fill, so the parent never holds a private copy of either.
         """
         cfg = self.config
         plan = planner.plan(n_batches * cfg.batch_size, cfg.batch_size)
@@ -431,10 +433,13 @@ class DeepDirectEmbedding:
         )
         with span("estep.hogwild", workers=cfg.workers,
                   n_batches=n_batches) as hog_sp:
+            shape, dt = (len(labels), cfg.dimensions), w_prime.dtype
             hog = run_hogwild(
                 task,
-                {"M": M, "N": N, "w_prime": w_prime,
-                 "b_prime": np.array([b_prime])},
+                {"M": SegmentArray(
+                    shape, dt, lambda M: _uniform_init(rng, *shape, dt, M)),
+                 "N": SegmentArray(shape, dt),
+                 "w_prime": w_prime, "b_prime": np.array([b_prime])},
                 n_batches=n_batches,
                 batch_size=cfg.batch_size,
                 workers=cfg.workers,
@@ -520,9 +525,11 @@ class DeepDirectEmbedding:
             rows = np.flatnonzero(undirected_b)
             if rows.size:
                 with span("estep.triad_labels", undirected=int(rows.size)):
+                    # Undirected ties all have rows in the triad table.
+                    table_rows = e[rows] - triads.first
                     sub_y, sub_valid = batch_triad_labels(
                         M, w_prime, b_prime,
-                        triads.uw_ids[e[rows]], triads.vw_ids[e[rows]],
+                        triads.uw_ids[table_rows], triads.vw_ids[table_rows],
                     )
                     y_triad, triad_valid = self._triad_buffers(
                         len(e), M.dtype
@@ -560,34 +567,23 @@ class DeepDirectEmbedding:
             workspace=self._workspace,
         )
 
-    @staticmethod
-    def _batch_triad_labels(
-        triads: TriadNeighborhood,
-        tie_ids: np.ndarray,
-        M: np.ndarray,
-        w_prime: np.ndarray,
-        b_prime: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``y^t`` for a batch, scoring only the batch's witness ties.
-
-        Back-compat shim over :func:`repro.embedding.kernels.batch_triad_labels`.
-        """
-        return batch_triad_labels(
-            M, w_prime, b_prime, triads.uw_ids[tie_ids], triads.vw_ids[tie_ids]
-        )
-
 
 def _uniform_init(
-    rng: np.random.Generator, n_rows: int, dims: int, dtype: np.dtype
+    rng: np.random.Generator,
+    n_rows: int,
+    dims: int,
+    dtype: np.dtype,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """word2vec-style init of M: uniform rows in ``[-0.5, 0.5) / dims``.
 
     The draws stay float64 and are rounded once, so the stream (and the
     float64 path bit for bit) is dtype-independent.  Row blocks consume
     the stream in the order one ``(n_rows, dims)`` draw would, without
-    its float64 transient.
+    its float64 transient.  ``out`` (an ``(n_rows, dims)`` array of
+    ``dtype``) receives M in place, e.g. a HOGWILD shared segment.
     """
-    M = np.empty((n_rows, dims), dtype=dtype)
+    M = np.empty((n_rows, dims), dtype=dtype) if out is None else out
     for rows in row_blocks(n_rows):
         M[rows] = (rng.random((rows.stop - rows.start, dims)) - 0.5) / dims
     return M

@@ -37,6 +37,7 @@ sequential, bit-identical seeded path for that case.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
 import os
 import shutil
@@ -44,7 +45,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -96,6 +97,22 @@ class HogwildTask(Protocol):
 
     def counters(self, state: Any) -> tuple[int, ...]:
         """Final deterministic counter values, in ``counter_names`` order."""
+
+
+@dataclass(frozen=True)
+class SegmentArray:
+    """A model array that lives only in the shared segment.
+
+    An ndarray handed to :func:`run_hogwild` is copied into the segment,
+    so the caller holds the model twice for the whole run.  A
+    ``SegmentArray`` is allocated in the segment instead: it starts as
+    the segment's zero fill, and ``init(view)``, when given, fills it in
+    place in the parent before the workers start.
+    """
+
+    shape: tuple[int, ...]
+    dtype: np.dtype
+    init: Callable[[np.ndarray], Any] | None = None
 
 
 def contiguous_shards(n_batches: int, workers: int) -> list[tuple[int, int]]:
@@ -277,6 +294,35 @@ def _worker_main(
             pass
 
 
+def _copy_out(
+    shm: shared_memory.SharedMemory,
+    layout: tuple[tuple[str, tuple[int, ...], str, int], ...],
+    views: dict[str, np.ndarray],
+    names: Sequence[str],
+) -> dict[str, np.ndarray]:
+    """Private copies of the ``names`` arrays of a finished run.
+
+    Where the OS supports it (``MADV_REMOVE``, Linux), each array's
+    whole pages are dropped from the segment as soon as it is copied,
+    so the parent holds at most one array twice, not the whole model.
+    """
+    advice = getattr(mmap, "MADV_REMOVE", None)
+    page = mmap.PAGESIZE
+    out = {}
+    for name, _shape, _dtype, offset in layout:
+        if name not in names:
+            continue
+        out[name] = views[name].copy()
+        start = -(-offset // page) * page
+        stop = (offset + views[name].nbytes) // page * page
+        if advice is not None and stop > start:
+            try:
+                shm.buf.obj.madvise(advice, start, stop - start)
+            except OSError:  # pragma: no cover - e.g. not tmpfs-backed
+                pass
+    return out
+
+
 def _context() -> mp.context.BaseContext:
     """Prefer fork (cheap, COW-shares the task payload) over spawn."""
     methods = mp.get_all_start_methods()
@@ -303,7 +349,8 @@ def run_hogwild(
 ) -> HogwildResult:
     """Train ``task`` with ``workers`` lock-free processes.
 
-    ``arrays`` are copied into one shared-memory segment, mutated in
+    ``arrays`` are copied into one shared-memory segment (a
+    :class:`SegmentArray` is allocated there instead), mutated in
     place by every worker, and returned (as ordinary process-private
     copies) in :attr:`HogwildResult.arrays`.  Progress callbacks fire
     from the parent at a polling cadence: ``on_batch_end`` carries the
@@ -331,7 +378,8 @@ def run_hogwild(
     # Arrays keep their incoming dtype (float32 models stay float32 in
     # the shared segment); the stats block is always float64.
     sources = {
-        name: np.ascontiguousarray(a) for name, a in arrays.items()
+        name: a if isinstance(a, SegmentArray) else np.ascontiguousarray(a)
+        for name, a in arrays.items()
     }
     if _STATS in sources:
         raise ValueError(f"array name {_STATS!r} is reserved")
@@ -355,8 +403,13 @@ def run_hogwild(
     trace_dir: str | None = None
     try:
         views = _open_views(shm, layout)
+        # A new segment is zero-filled, so a SegmentArray without an
+        # init is never written (nor paged in) by the parent.
         for name, source in sources.items():
-            views[name][...] = source
+            if not isinstance(source, SegmentArray):
+                views[name][...] = source
+            elif source.init is not None:
+                source.init(views[name])
         stats = views[_STATS]
         stats[...] = 0.0
 
@@ -549,7 +602,7 @@ def run_hogwild(
             for name in counter_names
         }
         result = HogwildResult(
-            arrays={name: views[name].copy() for name in sources},
+            arrays=_copy_out(shm, layout, views, sources),
             loss_history=loss_history,
             counters=merged_counters,
             worker_stats=worker_stats,

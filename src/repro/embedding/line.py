@@ -35,7 +35,7 @@ from ..obs.health import HealthMonitor, maybe_poison
 from ..utils import check_positive, ensure_rng
 from .hogwild import run_hogwild, should_degrade
 from .kernels import SgnsWorkspace, fused_sgns_batch, reference_sgns_batch
-from .samplers import AliasSampler
+from .samplers import AliasSampler, planned_batches, uniform_indices
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,9 @@ class LineConfig:
     per-worker sample budget falls below it, the run drops back to the
     sequential path with a ``RuntimeWarning`` (``0`` disables the gate).
     ``dtype`` selects ``"float64"`` (default) or ``"float32"`` embedding
-    precision; ``plan_epochs`` sets how many epochs of edge/negative
-    samples each vectorized mega-draw covers.  ``kernel`` selects the
-    skip-gram batch kernel — ``"fused"`` (vectorised, preallocated
-    buffers) or ``"reference"`` (the scalar per-pair oracle from
-    :mod:`repro.embedding.kernels`).
+    precision.  ``kernel`` selects the skip-gram batch kernel —
+    ``"fused"`` (vectorised, preallocated buffers) or ``"reference"``
+    (the scalar per-pair oracle from :mod:`repro.embedding.kernels`).
     """
 
     dimensions: int = 64
@@ -68,7 +66,6 @@ class LineConfig:
     workers: int = 1
     min_pairs_per_worker: int = 50_000
     dtype: str = "float64"
-    plan_epochs: float = 1.0
     kernel: str = "fused"
 
     def __post_init__(self) -> None:
@@ -91,7 +88,6 @@ class LineConfig:
                 "dtype must be 'float64' or 'float32', got "
                 f"{self.dtype!r}"
             )
-        check_positive(self.plan_epochs, "plan_epochs")
         if self.kernel not in ("fused", "reference"):
             raise ValueError(
                 "kernel must be 'fused' or 'reference', got "
@@ -210,20 +206,24 @@ class LineEmbedding:
                 fit_begin_logs["requested_workers"] = cfg.workers
             cb.on_fit_begin(run, fit_begin_logs)
 
+        def draw(n_plan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """Edge endpoints and negatives of the next ``n_plan`` samples.
+
+            Each sample consumes ``1 + λ`` uniforms of ``rng`` in order,
+            so any split of the run into draws gives the same samples.
+            """
+            with span("line.sample", samples=n_plan, planned=True):
+                u = rng.random((n_plan, 1 + cfg.n_negative))
+                edge_ids = uniform_indices(u[:, 0], n_edges)
+                return (src[edge_ids], dst[edge_ids],
+                        node_sampler.pick(u[:, 1:]))
+
         if workers > 1:
-            # Plan the whole run in the parent (one integers mega-draw,
-            # one alias mega-draw); workers slice batches copy-on-write
-            # and never touch an RNG.
-            with span("line.sample", samples=n_batches * cfg.batch_size,
-                      planned=True):
-                edge_ids = rng.integers(
-                    0, n_edges, size=n_batches * cfg.batch_size
-                )
-                negs = node_sampler.sample(
-                    (n_batches * cfg.batch_size, cfg.n_negative), rng
-                )
+            # Plan the whole run in the parent; workers slice batches
+            # copy-on-write and never touch an RNG.
+            plan_u, plan_v, plan_negs = draw(n_batches * cfg.batch_size)
             task = _HogwildLineTask(
-                config=cfg, u=src[edge_ids], v=dst[edge_ids], negs=negs
+                config=cfg, u=plan_u, v=plan_v, negs=plan_negs
             )
             with span("line.hogwild", workers=workers):
                 hog = run_hogwild(
@@ -265,33 +265,17 @@ class LineEmbedding:
         kernel = (fused_sgns_batch if cfg.kernel == "fused"
                   else reference_sgns_batch)
         history: list[tuple[int, float]] = []
-        # Mega-draw edge ids and negatives in ``plan_epochs``-sized
-        # chunks of whole batches, then slice zero-copy per batch.
-        batches_per_plan = max(
-            1, -(-int(cfg.plan_epochs * n_edges) // cfg.batch_size)
-        )
-        plan_u = plan_v = plan_negs = None
-        plan_start = plan_batches = 0
         health_arrays = {"first": first, "second": second, "context": context}
+        # Samples come in byte-bounded segments of whole batches, sliced
+        # zero-copy per batch.
+        batches = planned_batches(
+            draw, n_batches, cfg.batch_size,
+            2 * src.itemsize + cfg.n_negative * np.dtype(np.int64).itemsize,
+        )
         with span("line.train", n_batches=n_batches,
                   batch_size=cfg.batch_size):
-            for batch_idx in range(n_batches):
+            for batch_idx, (u, v, negs) in enumerate(batches):
                 lr = cfg.learning_rate * max(1.0 - batch_idx / n_batches, 0.01)
-                if plan_u is None or batch_idx - plan_start >= plan_batches:
-                    plan_start = batch_idx
-                    plan_batches = min(batches_per_plan,
-                                       n_batches - batch_idx)
-                    n_plan = plan_batches * cfg.batch_size
-                    with span("line.sample", samples=n_plan, planned=True):
-                        edge_ids = rng.integers(0, n_edges, size=n_plan)
-                        plan_u, plan_v = src[edge_ids], dst[edge_ids]
-                        plan_negs = node_sampler.sample(
-                            (n_plan, cfg.n_negative), rng
-                        )
-                lo = (batch_idx - plan_start) * cfg.batch_size
-                hi = lo + cfg.batch_size
-                u, v = plan_u[lo:hi], plan_v[lo:hi]
-                negs = plan_negs[lo:hi]
                 if health is not None:
                     maybe_poison(batch_idx, health_arrays)
                 # First order scores nodes against themselves (ctx=emb);

@@ -35,7 +35,7 @@ from ..obs.health import HealthMonitor, maybe_poison
 from ..utils import check_positive, ensure_rng
 from .hogwild import run_hogwild, should_degrade
 from .kernels import SgnsWorkspace, fused_sgns_batch, reference_sgns_batch
-from .samplers import AliasSampler
+from .samplers import AliasSampler, planned_batches, uniform_indices
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,8 @@ class Node2VecConfig:
     degradation floor: a per-worker sample budget below it drops the run
     back to the sequential path with a ``RuntimeWarning`` (``0``
     disables the gate).  ``dtype`` selects ``"float64"`` (default) or
-    ``"float32"`` embedding precision; ``plan_epochs`` sets how many
-    epochs of corpus/negative samples each vectorized mega-draw covers.
-    ``kernel`` selects the skip-gram batch
-    kernel — ``"fused"`` (vectorised, preallocated buffers) or
+    ``"float32"`` embedding precision.  ``kernel`` selects the skip-gram
+    batch kernel — ``"fused"`` (vectorised, preallocated buffers) or
     ``"reference"`` (the scalar per-pair oracle from
     :mod:`repro.embedding.kernels`).
     """
@@ -73,7 +71,6 @@ class Node2VecConfig:
     workers: int = 1
     min_pairs_per_worker: int = 50_000
     dtype: str = "float64"
-    plan_epochs: float = 1.0
     kernel: str = "fused"
 
     def __post_init__(self) -> None:
@@ -100,7 +97,6 @@ class Node2VecConfig:
                 "dtype must be 'float64' or 'float32', got "
                 f"{self.dtype!r}"
             )
-        check_positive(self.plan_epochs, "plan_epochs")
         if self.kernel not in ("fused", "reference"):
             raise ValueError(
                 "kernel must be 'fused' or 'reference', got "
@@ -283,22 +279,23 @@ class Node2VecEmbedding:
                 fit_begin_logs["requested_workers"] = cfg.workers
             cb.on_fit_begin(run, fit_begin_logs)
 
+        def draw(n_plan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """Corpus pairs and negatives of the next ``n_plan`` samples.
+
+            Each sample consumes ``1 + λ`` uniforms of ``rng`` in order,
+            so any split of the run into draws gives the same samples.
+            """
+            with span("node2vec.sample", samples=n_plan, planned=True):
+                u = rng.random((n_plan, 1 + cfg.n_negative))
+                picks = uniform_indices(u[:, 0], len(centers))
+                return centers[picks], contexts[picks], sampler.pick(u[:, 1:])
+
         if workers > 1:
             # Plan the whole run in the parent; workers slice batches
             # copy-on-write and never touch an RNG.
-            with span("node2vec.sample", samples=n_batches * cfg.batch_size,
-                      planned=True):
-                picks = rng.integers(
-                    0, len(centers), size=n_batches * cfg.batch_size
-                )
-                negs = sampler.sample(
-                    (n_batches * cfg.batch_size, cfg.n_negative), rng
-                )
+            plan_u, plan_v, plan_negs = draw(n_batches * cfg.batch_size)
             task = _HogwildNode2VecTask(
-                config=cfg,
-                u=centers[picks],
-                v=contexts[picks],
-                negs=negs,
+                config=cfg, u=plan_u, v=plan_v, negs=plan_negs
             )
             with span("node2vec.hogwild", workers=workers):
                 hog = run_hogwild(
@@ -340,37 +337,20 @@ class Node2VecEmbedding:
                   else reference_sgns_batch)
         workspace = SgnsWorkspace()
         history: list[tuple[int, float]] = []
-        # Mega-draw corpus picks and negatives in ``plan_epochs``-sized
-        # chunks of whole batches, then slice zero-copy per batch.
-        batches_per_plan = max(
-            1, -(-int(cfg.plan_epochs * len(centers)) // cfg.batch_size)
-        )
-        plan_u = plan_v = plan_negs = None
-        plan_start = plan_batches = 0
         health_arrays = {"emb": emb, "ctx": ctx}
+        # Samples come in byte-bounded segments of whole batches, sliced
+        # zero-copy per batch.
+        batches = planned_batches(
+            draw, n_batches, cfg.batch_size,
+            centers.itemsize + contexts.itemsize
+            + cfg.n_negative * np.dtype(np.int64).itemsize,
+        )
         with span("node2vec.train", n_batches=n_batches,
                   batch_size=cfg.batch_size):
-            for batch_idx in range(n_batches):
+            for batch_idx, (u, v, negs) in enumerate(batches):
                 lr = cfg.learning_rate * max(
                     1.0 - batch_idx / n_batches, 0.01
                 )
-                if plan_u is None or batch_idx - plan_start >= plan_batches:
-                    plan_start = batch_idx
-                    plan_batches = min(batches_per_plan,
-                                       n_batches - batch_idx)
-                    n_plan = plan_batches * cfg.batch_size
-                    with span("node2vec.sample", samples=n_plan,
-                              planned=True):
-                        picks = rng.integers(0, len(centers), size=n_plan)
-                        plan_u = centers[picks]
-                        plan_v = contexts[picks]
-                        plan_negs = sampler.sample(
-                            (n_plan, cfg.n_negative), rng
-                        )
-                lo = (batch_idx - plan_start) * cfg.batch_size
-                hi = lo + cfg.batch_size
-                u, v = plan_u[lo:hi], plan_v[lo:hi]
-                negs = plan_negs[lo:hi]
 
                 # The loss is not a by-product of the update, so the
                 # kernel only evaluates it when a consumer wants it.

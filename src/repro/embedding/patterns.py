@@ -54,21 +54,45 @@ def degree_pseudo_labels(network: MixedSocialNetwork) -> np.ndarray:
 class TriadNeighborhood:
     """Pre-sampled ``t(u, v)`` ties for the triad pseudo-labels.
 
-    For every oriented tie ``e = (u, v)``, ``uw_ids[e]`` and ``vw_ids[e]``
-    hold the oriented tie ids of ``(u, w)`` and ``(v, w)`` for each
-    sampled common neighbour ``w``, padded with ``-1`` to width ``gamma``.
-    ``counts[e]`` is ``|t(u, v)|``; zero means the triad term is skipped
-    for that tie.
+    The table has one row per tie of one contiguous tie-id block: row
+    ``r`` belongs to oriented tie ``first + r``.  The block is the
+    smallest one holding the requested ties and their reverses.  In the
+    store layout ``[E_d forward | E_d reverse | E_b | E_u]`` the
+    default request, every undirected tie, is exactly the ``E_u``
+    block, so directed and bidirectional ties, which never read a
+    witness, take no rows; ReDirect's all-ties request is the
+    ``first = 0`` case.
+
+    For the tie ``e = (u, v)`` of a row, ``uw_ids`` and ``vw_ids`` hold
+    the oriented tie ids (not rows) of ``(u, w)`` and ``(v, w)`` for
+    each sampled common neighbour ``w``, padded with ``-1`` to width
+    ``gamma``.  ``counts`` is ``|t(u, v)|``; zero means the triad term
+    is skipped for that tie.  :meth:`witnesses` looks rows up by tie id.
     """
 
     uw_ids: np.ndarray
     vw_ids: np.ndarray
     counts: np.ndarray
+    first: int = 0
 
     @property
     def gamma(self) -> int:
         """Padding width (maximum common neighbours per tie)."""
         return self.uw_ids.shape[1]
+
+    def witnesses(self, tie_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(uw, vw)`` witness rows of ``tie_ids``.
+
+        A tie outside the table's block gets an all ``-1`` row: it has
+        no sampled witnesses.
+        """
+        rows = np.asarray(tie_ids, dtype=np.int64) - self.first
+        inside = (rows >= 0) & (rows < len(self.counts))
+        uw = np.full((len(rows), self.gamma), -1, dtype=self.uw_ids.dtype)
+        vw = uw.copy()
+        uw[inside] = self.uw_ids[rows[inside]]
+        vw[inside] = self.vw_ids[rows[inside]]
+        return uw, vw
 
 
 def _ragged_csr_rows(
@@ -128,26 +152,36 @@ def build_triad_neighborhoods(
     their global order and numpy ``Generator`` draws are stream-stable
     under splitting, so the result is bit-identical for any
     ``chunk_entries``.
+
+    The table holds rows for the requested ties' id block only: the
+    default build has ``2·|E_u|`` rows (both orientations of each
+    undirected tie), not ``n_ties``.
     """
     rng = ensure_rng(seed)
-    n = network.n_ties
     if tie_ids is None:
         tie_ids = network.ties_of_kind(TieKind.UNDIRECTED)
+    tie_ids = np.asarray(tie_ids, dtype=np.int64)
+    # The table spans the id block of the requested ties and their
+    # reverses (see TriadNeighborhood), not every tie of the network.
+    reverse = network.reverse_of[tie_ids]
+    first = rows = 0
+    if tie_ids.size:
+        first = int(min(tie_ids.min(), reverse.min()))
+        rows = int(max(tie_ids.max(), reverse.max())) + 1 - first
 
     # Tie ids (and counts <= gamma) fit the store's index width.
-    uw = np.full((n, gamma), -1, dtype=TIE_INDEX_DTYPE)
-    vw = np.full((n, gamma), -1, dtype=TIE_INDEX_DTYPE)
-    counts = np.zeros(n, dtype=TIE_INDEX_DTYPE)
-
-    tie_ids = np.asarray(tie_ids, dtype=np.int64)
+    uw = np.full((rows, gamma), -1, dtype=TIE_INDEX_DTYPE)
+    vw = np.full((rows, gamma), -1, dtype=TIE_INDEX_DTYPE)
+    counts = np.zeros(rows, dtype=TIE_INDEX_DTYPE)
+    table = TriadNeighborhood(uw_ids=uw, vw_ids=vw, counts=counts, first=first)
     if tie_ids.size == 0:
-        return TriadNeighborhood(uw_ids=uw, vw_ids=vw, counts=counts)
+        return table
 
     # One canonical tie per {e, reverse_of[e]} orbit, keeping the first
     # orientation encountered (matching the sequential done-set walk).
-    orbit = np.minimum(tie_ids, network.reverse_of[tie_ids])
-    _, first = np.unique(orbit, return_index=True)
-    canon = tie_ids[np.sort(first)]
+    orbit = np.minimum(tie_ids, reverse)
+    _, first_seen = np.unique(orbit, return_index=True)
+    canon = tie_ids[np.sort(first_seen)]
     rev = network.reverse_of[canon]
     u_all = network.tie_src[canon]
     v_all = network.tie_dst[canon]
@@ -169,22 +203,19 @@ def build_triad_neighborhoods(
         )
         stop = min(max(stop, start + 1), len(canon))
         _intersect_chunk(
-            network, rng, gamma, uw, vw, counts,
+            network, rng, table,
             canon[start:stop], rev[start:stop],
             u_all[start:stop], v_all[start:stop],
             offsets, targets, csr_tie_ids,
         )
         start = stop
-    return TriadNeighborhood(uw_ids=uw, vw_ids=vw, counts=counts)
+    return table
 
 
 def _intersect_chunk(
     network: MixedSocialNetwork,
     rng: np.random.Generator,
-    gamma: int,
-    uw: np.ndarray,
-    vw: np.ndarray,
-    counts: np.ndarray,
+    table: TriadNeighborhood,
     canon: np.ndarray,
     rev: np.ndarray,
     u_nodes: np.ndarray,
@@ -193,7 +224,7 @@ def _intersect_chunk(
     targets: np.ndarray,
     csr_tie_ids: np.ndarray,
 ) -> None:
-    """Intersect one chunk of canonical pairs into ``uw``/``vw``/``counts``."""
+    """Intersect one chunk of canonical pairs into ``table``'s rows."""
     pos_u, grp_u = _ragged_csr_rows(offsets, u_nodes)
     pos_v, grp_v = _ragged_csr_rows(offsets, v_nodes)
     grp = np.concatenate([grp_u, grp_v])
@@ -243,19 +274,20 @@ def _intersect_chunk(
         )
         group_len = np.diff(np.concatenate([group_start, [len(g)]]))
         slot = np.arange(len(g)) - np.repeat(group_start, group_len)
-        keep = slot < gamma
+        keep = slot < table.gamma
         pair_k, slot_k = g[keep], slot[keep]
         uw_k, vw_k = m_uw[order2][keep], m_vw[order2][keep]
 
-        e_k, r_k = canon[pair_k], rev[pair_k]
+        uw, vw, counts = table.uw_ids, table.vw_ids, table.counts
+        e_k, r_k = canon[pair_k] - table.first, rev[pair_k] - table.first
         uw[e_k, slot_k] = uw_k
         vw[e_k, slot_k] = vw_k
         # The reverse orientation (v, u) swaps the roles of u and v.
         uw[r_k, slot_k] = vw_k
         vw[r_k, slot_k] = uw_k
         kept_counts = np.bincount(pair_k, minlength=len(canon))
-        counts[canon] = kept_counts
-        counts[rev] = kept_counts
+        counts[canon - table.first] = kept_counts
+        counts[rev - table.first] = kept_counts
 
 
 def triad_pseudo_labels(
@@ -280,8 +312,7 @@ def triad_pseudo_labels(
     ``(labels, valid)`` — the pseudo-labels (0.5 placeholder where
     invalid) and a boolean mask marking ties with at least one witness.
     """
-    uw = neighborhood.uw_ids[tie_ids]
-    vw = neighborhood.vw_ids[tie_ids]
+    uw, vw = neighborhood.witnesses(tie_ids)
     mask = uw >= 0
     y_uw = np.where(mask, predictions[np.maximum(uw, 0)], 0.0)
     y_vw = np.where(mask, predictions[np.maximum(vw, 0)], 0.0)

@@ -22,11 +22,17 @@ Two sampling paths share the machinery:
   category-separated child stream, so the draws are *plan-granularity
   invariant*: planning a run in one mega-plan or in many small chunks
   produces bit-identical samples.
+
+The sequential trainers (DeepDirect, LINE, node2vec) walk their plans
+through :func:`planned_batches`, which draws one segment of at most
+``_PLAN_SEGMENT_BYTES`` at a time, so a fit's plan memory is bounded
+whatever its pair budget.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,6 +40,11 @@ from ..graph import MixedSocialNetwork
 from ..graph.store import TIE_INDEX_DTYPE
 from ..obs.trace import span as trace_span
 from ..utils import row_blocks
+
+#: Byte budget of one sample-plan segment (the drawn id arrays).  Plan
+#: draws are granularity-invariant, so the budget bounds memory only:
+#: it never changes a trajectory.
+_PLAN_SEGMENT_BYTES = 4 << 20
 
 
 def _index_dtype(n: int) -> np.dtype:
@@ -374,9 +385,9 @@ class SamplePlanner:
     negatives), and every draw consumes exactly one uniform double per
     element in schedule order.  Planning ``N`` pairs in one call or in
     any sequence of chunks totalling ``N`` therefore yields bit-identical
-    samples, which is what lets the sequential path re-plan per
-    ``plan_epochs`` chunk while the HOGWILD parent plans the entire run
-    up front — same trajectory semantics, same draws.
+    samples, which is what lets the sequential path plan in byte-bounded
+    segments while the HOGWILD parent plans the entire run up front —
+    same trajectory semantics, same draws.
     """
 
     def __init__(
@@ -391,6 +402,18 @@ class SamplePlanner:
         self.n_negative = int(n_negative)
         self._pair_rng, self._succ_rng, self._neg_rng = rng.spawn(3)
         self.n_plans = 0
+
+    @property
+    def bytes_per_pair(self) -> int:
+        """Plan bytes per pair: its tie id, successor and negatives."""
+        itemsize = _index_dtype(self.sampler.network.n_ties).itemsize
+        return (2 + self.n_negative) * itemsize
+
+    def draw(self, n_pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(e, successor, negatives)`` of the next ``n_pairs`` pairs,
+        the ``draw`` of :func:`planned_batches`."""
+        plan = self.plan(n_pairs, 1)
+        return plan.e, plan.successor, plan.negatives
 
     def plan(self, n_pairs: int, batch_size: int) -> SamplePlan:
         """Mega-draw ``n_pairs`` pairs/successors/negatives as one plan.
@@ -423,6 +446,32 @@ class SamplePlanner:
                 )
         self.n_plans += 1
         return SamplePlan(e, successor, negatives, batch_size)
+
+
+def planned_batches(
+    draw: Callable[[int], tuple[np.ndarray, ...]],
+    n_batches: int,
+    batch_size: int,
+    bytes_per_pair: int,
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Per-batch views of ``n_batches`` batches, drawn segment by segment.
+
+    ``draw(n_pairs)`` returns arrays whose first axis runs over pairs.
+    Each call draws one segment: as many whole batches as fit
+    ``_PLAN_SEGMENT_BYTES`` at ``bytes_per_pair``, and at least one.
+    """
+    per_segment = max(1, _PLAN_SEGMENT_BYTES // (bytes_per_pair * batch_size))
+    for start in range(0, n_batches, per_segment):
+        segment = draw(min(per_segment, n_batches - start) * batch_size)
+        for lo in range(0, len(segment[0]), batch_size):
+            yield tuple(a[lo : lo + batch_size] for a in segment)
+
+
+def uniform_indices(u: np.ndarray, n: int) -> np.ndarray:
+    """Indices uniform over ``range(n)`` from pre-drawn uniforms (one each)."""
+    idx = (u * n).astype(np.int64)
+    # u == 1 - eps can round u·n up to exactly n.
+    return np.minimum(idx, n - 1, out=idx)
 
 
 def sample_common_neighbors(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 
 def accuracy(truth: np.ndarray, predictions: np.ndarray) -> float:
@@ -31,6 +30,8 @@ def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc needs both classes present")
+    from scipy import stats
+
     ranks = stats.rankdata(scores)
     pos_rank_sum = float(ranks[labels > 0.5].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

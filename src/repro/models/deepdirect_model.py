@@ -52,6 +52,12 @@ class DeepDirectModel(TieDirectionModel):
     health:
         Optional :class:`repro.obs.health.HealthMonitor` forwarded to
         the E-Step trainer (numeric sentinels + divergence policy).
+
+    After :meth:`fit`, ``embedding_`` holds M and the joint head but
+    not the context matrix N (``embedding_.contexts is None``), exactly
+    like a model loaded from an artifact: nothing after the E-Step reads
+    N.  Call :class:`repro.embedding.DeepDirectEmbedding` directly to
+    keep it.
     """
 
     def __init__(
@@ -86,11 +92,16 @@ class DeepDirectModel(TieDirectionModel):
         rng = ensure_rng(seed)
         cb = CallbackList(self.callbacks)
 
-        # E-Step: learn the tie embedding matrix M.
+        # E-Step: learn the tie embedding matrix M.  No scoring,
+        # discovery or export path reads the context matrix N, so it is
+        # released here, before the D-Step, as a reloaded model has none.
         with span("estep", workers=self.config.workers):
-            embedding = DeepDirectEmbedding(self.config).fit(
-                network, seed=rng, callbacks=self.callbacks,
-                health=self.health,
+            embedding = replace(
+                DeepDirectEmbedding(self.config).fit(
+                    network, seed=rng, callbacks=self.callbacks,
+                    health=self.health,
+                ),
+                contexts=None,
             )
 
         # D-Step: classifier on the labeled tie embeddings.

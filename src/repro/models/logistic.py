@@ -9,7 +9,6 @@ joint head ``(w', b')``.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from ..utils import check_finite_array, check_non_negative, row_blocks
 
@@ -154,6 +153,10 @@ class LogisticRegression:
             grad[:d] += self.l2 * w
             loss = ce_sum / weight_sum + 0.5 * self.l2 * float(w @ w)
             return loss, grad
+
+        # Imported here, not at module level: scipy costs ~50 MB of RSS
+        # that a process which only loads and scores a model never needs.
+        from scipy import optimize
 
         self.initial_loss_ = float(objective(x0)[0])
         result = optimize.minimize(

@@ -13,7 +13,6 @@ non-linear.  :class:`repro.models.DeepDirectModel` accepts
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from ..utils import check_finite_array, check_non_negative, ensure_rng
 
@@ -129,6 +128,8 @@ class MLPClassifier:
                 [grad_w1.ravel(), grad_b1, grad_w2, [grad_b2]]
             )
             return loss, grad
+
+        from scipy import optimize
 
         result = optimize.minimize(
             objective,

@@ -22,7 +22,6 @@ on the target.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from ..features import HandcraftedFeatureExtractor, standardize
 from ..graph import MixedSocialNetwork
@@ -109,6 +108,8 @@ class TransferHFModel(TieDirectionModel):
                 loss += 0.5 * anchor_strength * float(diff @ diff)
                 grad = grad + anchor_strength * diff
             return loss, grad
+
+        from scipy import optimize
 
         result = optimize.minimize(
             objective, x0, jac=True, method="L-BFGS-B",

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+import repro.embedding.samplers as samplers
 import repro.utils.blocks as blocks
 from repro.datasets import hide_directions, load_dataset
 from repro.embedding import (
@@ -126,11 +127,14 @@ def test_fit_is_block_size_invariant_on_both_backends(tmp_path):
     )
     config = DeepDirectConfig(
         dimensions=8, alpha=5.0, beta=0.1, max_pairs=6_000,
-        batch_size=128, plan_epochs=0.2, dtype="float32",
+        batch_size=128, dtype="float32",
     )
-    reference = DeepDirectEmbedding(config).fit(net, seed=42)
+    # Several plan segments per fit, as the old plan_epochs=0.2 gave.
+    segments = mock.patch.object(samplers, "_PLAN_SEGMENT_BYTES", 20_000)
+    with segments:
+        reference = DeepDirectEmbedding(config).fit(net, seed=42)
     for network in (net, stored):
-        with _block(37):
+        with _block(37), segments:
             blocked = DeepDirectEmbedding(config).fit(network, seed=42)
         assert np.array_equal(blocked.embeddings, reference.embeddings)
         assert np.array_equal(blocked.contexts, reference.contexts)

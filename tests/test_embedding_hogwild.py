@@ -21,7 +21,8 @@ from repro.embedding import (
     LineConfig,
     LineEmbedding,
 )
-from repro.embedding.hogwild import run_hogwild
+from repro.embedding.deepdirect import _uniform_init
+from repro.embedding.hogwild import SegmentArray, run_hogwild
 from repro.embedding.node2vec import Node2VecConfig, Node2VecEmbedding
 from repro.eval import roc_auc
 from repro.graph import TieKind
@@ -209,6 +210,42 @@ def test_run_hogwild_rejects_single_worker():
             rng=np.random.default_rng(0),
             lr0=0.1,
         )
+
+
+class _IdleTask:
+    """Trains nothing, so run_hogwild returns the arrays as set up."""
+
+    def setup(self, arrays, rng):
+        return None
+
+    def step(self, state, arrays, batch_idx, lr, rng):
+        return 0.0
+
+    def counters(self, state):
+        return ()
+
+
+def test_segment_arrays_are_initialised_in_the_segment():
+    """A SegmentArray starts as the segment's zero fill, or as its init
+    drew it; ndarrays are copied in as before."""
+    shape = (300, 8)
+    result = run_hogwild(
+        _IdleTask(),
+        {
+            "M": SegmentArray(shape, np.dtype(np.float32), lambda view:
+                              _uniform_init(np.random.default_rng(4),
+                                            *shape, np.float32, view)),
+            "N": SegmentArray(shape, np.dtype(np.float32)),
+            "w": np.arange(3.0),
+        },
+        n_batches=2, batch_size=1, workers=2,
+        rng=np.random.default_rng(0), lr0=0.1,
+    )
+    want = _uniform_init(np.random.default_rng(4), *shape, np.float32)
+    assert np.array_equal(result.arrays["M"], want)
+    assert result.arrays["N"].dtype == np.float32
+    assert not result.arrays["N"].any()
+    assert np.array_equal(result.arrays["w"], np.arange(3.0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Three contracts protect the planned pipeline:
 1. **Granularity invariance** — drawing one mega-plan or any sequence of
    chunks totalling the same pairs yields bit-identical samples (each
    draw consumes exactly one uniform per element in schedule order), so
-   ``plan_epochs`` can never change a trajectory.
+   the plan-segment byte budget can never change a trajectory.
 2. **Batched back-tie resolution** — the single-pass k-shift remap is
    exactly uniform over ``c(e)``: successors always chain, back-ties
    never survive, and the telemetry counts every draw.
@@ -16,18 +16,24 @@ Three contracts protect the planned pipeline:
 
 from __future__ import annotations
 
-import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.embedding.samplers as samplers
+import repro.embedding.deepdirect as deepdirect
+import repro.embedding.line as line
+import repro.embedding.node2vec as node2vec
 from repro.embedding import (
     DeepDirectConfig,
     DeepDirectEmbedding,
     LineConfig,
+    LineEmbedding,
     Node2VecConfig,
+    Node2VecEmbedding,
 )
 from repro.embedding.samplers import (
     AliasSampler,
@@ -178,19 +184,125 @@ FIT_CONFIG = DeepDirectConfig(
 )
 
 
-def test_plan_epochs_does_not_change_trajectory(discovery_task):
+def test_plan_segment_budget_does_not_change_trajectory(
+    discovery_task, monkeypatch
+):
     network = discovery_task.network
-    tiny = DeepDirectEmbedding(
-        dataclasses.replace(FIT_CONFIG, plan_epochs=0.01)
-    ).fit(network, seed=21)
-    whole = DeepDirectEmbedding(
-        dataclasses.replace(FIT_CONFIG, plan_epochs=1_000.0)
-    ).fit(network, seed=21)
+    # One batch per segment, then the whole run in one segment.
+    monkeypatch.setattr(samplers, "_PLAN_SEGMENT_BYTES", 1)
+    tiny = DeepDirectEmbedding(FIT_CONFIG).fit(network, seed=21)
+    monkeypatch.setattr(samplers, "_PLAN_SEGMENT_BYTES", 1 << 30)
+    whole = DeepDirectEmbedding(FIT_CONFIG).fit(network, seed=21)
     assert np.array_equal(tiny.embeddings, whole.embeddings)
     assert np.array_equal(tiny.contexts, whole.contexts)
     assert np.array_equal(tiny.classifier_weights, whole.classifier_weights)
     assert tiny.classifier_bias == whole.classifier_bias
     assert tiny.loss_history == whole.loss_history
+
+
+# ---------------------------------------------------------------------------
+# Byte-bounded plan segments
+
+
+# Runs of 47 batches: a prime, so every segment of 2..46 batches
+# leaves a short last segment.
+TRAINERS = {
+    "deepdirect": (deepdirect, lambda: DeepDirectEmbedding(
+        DeepDirectConfig(dimensions=8, n_negative=3, batch_size=64,
+                         max_pairs=47 * 64))),
+    "line": (line, lambda: LineEmbedding(
+        LineConfig(dimensions=8, n_negative=3, batch_size=64,
+                   max_samples=47 * 64))),
+    "node2vec": (node2vec, lambda: Node2VecEmbedding(
+        Node2VecConfig(dimensions=8, walk_length=8, walks_per_node=2,
+                       window=2, n_negative=3, batch_size=64,
+                       epochs=0.5))),
+}
+BUDGETS = {"one_batch": 1, "non_divisor": 20_000, "beyond_run": 1 << 30}
+
+
+def _numpy_bytes() -> int:
+    """Live bytes of numpy array buffers (tracemalloc's numpy domain)."""
+    numpy_domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    snapshot = tracemalloc.take_snapshot().filter_traces([numpy_domain])
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+def _fit_with_budget(monkeypatch, network, trainer, budget, measure=False):
+    """Fit ``trainer`` under a patched plan budget; return the result and
+    each segment's ``(pairs, retained numpy bytes)``."""
+    module, make = TRAINERS[trainer]
+    monkeypatch.setattr(samplers, "_PLAN_SEGMENT_BYTES", budget)
+    segments: list[tuple[int, int]] = []
+
+    def spy(draw, *args):
+        def measured(n_pairs):
+            before = _numpy_bytes() if measure else 0
+            out = draw(n_pairs)
+            after = _numpy_bytes() if measure else 0
+            segments.append((n_pairs, after - before))
+            return out
+
+        return samplers.planned_batches(measured, *args)
+
+    monkeypatch.setattr(module, "planned_batches", spy)
+    return make().fit(network, seed=21), segments
+
+
+def _trajectory(trainer: str, result) -> list[np.ndarray]:
+    if trainer == "deepdirect":
+        arrays = [result.embeddings, result.contexts,
+                  result.classifier_weights,
+                  np.array([result.classifier_bias])]
+    else:
+        arrays = [result.node_embeddings]
+    return arrays + [np.array(result.loss_history, dtype=float)]
+
+
+@pytest.mark.parametrize("budget", ["one_batch", "non_divisor"])
+@pytest.mark.parametrize("trainer", sorted(TRAINERS))
+def test_trainers_are_plan_segment_invariant(
+    discovery_task, monkeypatch, trainer, budget
+):
+    network = discovery_task.network
+    whole, whole_segments = _fit_with_budget(
+        monkeypatch, network, trainer, BUDGETS["beyond_run"]
+    )
+    split, segments = _fit_with_budget(
+        monkeypatch, network, trainer, BUDGETS[budget]
+    )
+    assert len(whole_segments) == 1
+    sizes = [n for n, _ in segments]
+    assert sum(sizes) == whole_segments[0][0]
+    if budget == "one_batch":
+        assert set(sizes) == {64}
+    else:
+        assert len(set(sizes[:-1])) == 1 and 64 < sizes[-1] < sizes[0]
+    for got, want in zip(_trajectory(trainer, split),
+                         _trajectory(trainer, whole)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("trainer", sorted(TRAINERS))
+def test_plan_bytes_never_exceed_the_budget(
+    discovery_task, monkeypatch, trainer
+):
+    budget = BUDGETS["non_divisor"]
+    tracemalloc.start()
+    try:
+        _, segments = _fit_with_budget(
+            monkeypatch, discovery_task.network, trainer, budget,
+            measure=True,
+        )
+    finally:
+        tracemalloc.stop()
+    # The first draw also builds lazy sampler tables (DeepDirect's
+    # back-tie positions), so its bytes are not all plan.  It holds as
+    # many pairs as the second, whose bytes are all plan.
+    sizes = [n for n, _ in segments]
+    retained = [nbytes for _, nbytes in segments]
+    assert len(segments) > 2 and sizes[0] == sizes[1]
+    assert 0 < max(retained[1:]) <= budget
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +317,11 @@ def test_new_knob_validation(config_cls):
         config_cls(min_pairs_per_worker=-1)
     with pytest.raises(ValueError, match="dtype"):
         config_cls(dtype="float16")
-    with pytest.raises(ValueError, match="plan_epochs"):
-        config_cls(plan_epochs=0.0)
-    cfg = config_cls(dtype="float32", plan_epochs=0.5, min_pairs_per_worker=0)
+    # The plan-granularity knob is gone: a private byte budget sizes
+    # plan segments now.
+    with pytest.raises(TypeError, match="plan_epochs"):
+        config_cls(plan_epochs=0.5)
+    cfg = config_cls(dtype="float32", min_pairs_per_worker=0)
     assert cfg.dtype == "float32"
 
 

@@ -200,6 +200,16 @@ def test_float32_roundtrip_keeps_dtype_and_bits(float32_deepdirect, tmp_path):
     assert np.array_equal(restored.tie_scores(), model.tie_scores())
 
 
+def test_fit_releases_the_context_matrix(float32_deepdirect):
+    """N is read only by the E-Step, so a fitted model holds M but not
+    N, exactly like a reloaded one."""
+    embedding = float32_deepdirect.embedding_
+    assert embedding.contexts is None
+    assert embedding.embeddings.shape[0] == (
+        float32_deepdirect.network.n_ties
+    )
+
+
 def test_weights_are_memory_mapped(fitted_models, tmp_path):
     bundle = tmp_path / "mapped"
     save_model_artifact(fitted_models["DeepDirectModel"], bundle)
