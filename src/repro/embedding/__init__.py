@@ -15,9 +15,6 @@ from .kernels import (
     estep_batch_loss,
     fused_estep_batch,
     fused_sgns_batch,
-    reference_batch_triad_labels,
-    reference_estep_batch,
-    reference_sgns_batch,
 )
 from .line import LineConfig, LineEmbedding, LineResult
 from .node2vec import (
@@ -72,9 +69,6 @@ __all__ = [
     "estep_batch_loss",
     "fused_estep_batch",
     "fused_sgns_batch",
-    "reference_batch_triad_labels",
-    "reference_estep_batch",
-    "reference_sgns_batch",
     "sample_common_neighbors",
     "sample_common_neighbors_batch",
     "should_degrade",

@@ -55,21 +55,22 @@ class DeepDirectConfig:
         across datasets.  The effective budget is the minimum of all
         three limits.
     workers:
-        Number of lock-free HOGWILD SGD processes sharing the ``M``/``N``
-        buffers through ``multiprocessing.shared_memory``.  ``1`` (the
-        default) keeps the sequential path, which is bit-identical under
-        a fixed seed; ``>1`` trades bit-level run-to-run reproducibility
-        for throughput (each worker owns a disjoint slice of the batch
-        schedule and a spawned child RNG, so runs remain seeded but
-        scatter-add interleaving is scheduler-dependent).  See
-        ``docs/performance.md``.
+        Number of lock-free HOGWILD SGD processes sharing the model
+        arrays through ``multiprocessing.shared_memory``.  ``1`` (the
+        default) trains in-process on private arrays, bit-identical
+        under a fixed seed; ``>1`` trades bit-level run-to-run
+        reproducibility for throughput: each worker owns a contiguous
+        slice of the batch schedule and draws exactly the sequential
+        run's samples for it, but scatter-add interleaving is
+        scheduler-dependent.  See ``docs/performance.md``.
     min_pairs_per_worker:
         Adaptive-degradation floor for ``workers > 1``: when the total
         pair budget divided by ``workers`` falls below this, the run
-        falls back to the sequential path with a ``RuntimeWarning`` and
-        a ``hogwild.degraded`` metric — per-worker process/coordination
-        overhead makes HOGWILD a slowdown on small schedules.  ``0``
-        disables the gate (always honour ``workers``).
+        falls back to one worker with a ``RuntimeWarning`` (and
+        ``hogwild_degraded`` in the ``fit_begin`` telemetry) —
+        per-worker process/coordination overhead makes HOGWILD a
+        slowdown on small schedules.  ``0`` disables the gate (always
+        honour ``workers``).
     dtype:
         Parameter/arithmetic precision: ``"float64"`` (default, the
         historical bit-exact path) or ``"float32"`` (halves memory
@@ -78,13 +79,6 @@ class DeepDirectConfig:
         draws always happen in float64 and are rounded once at
         initialisation, so the sampling stream is identical across
         dtypes.
-    kernel:
-        Which E-Step batch kernel runs the Eq. 21-25 updates:
-        ``"fused"`` (default) is the vectorised production path with
-        preallocated scratch buffers; ``"reference"`` is the scalar
-        per-pair oracle used by the ``tests/kernel_parity``
-        differential-testing harness.  Both implement identical
-        mathematics — see :mod:`repro.embedding.kernels`.
     """
 
     dimensions: int = 128
@@ -102,7 +96,6 @@ class DeepDirectConfig:
     workers: int = 1
     min_pairs_per_worker: int = 50_000
     dtype: str = "float64"
-    kernel: str = "fused"
 
     def __post_init__(self) -> None:
         if self.dimensions < 1:
@@ -131,9 +124,4 @@ class DeepDirectConfig:
             raise ValueError(
                 "dtype must be 'float64' or 'float32', got "
                 f"{self.dtype!r}"
-            )
-        if self.kernel not in ("fused", "reference"):
-            raise ValueError(
-                "kernel must be 'fused' or 'reference', got "
-                f"{self.kernel!r}"
             )

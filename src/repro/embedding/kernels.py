@@ -1,40 +1,30 @@
-"""Fused and reference SGD kernels for the embedding trainers.
+"""Fused SGD kernels for the embedding trainers.
 
 This module is the numerical heart of the E-Step: given a sampled batch
 of connected tie pairs it applies the closed-form SGD updates of
-Eqs. 20-25 to the shared parameter matrices.  Two implementations of the
-*same mathematics* live side by side:
+Eqs. 20-25 to the shared parameter matrices.
 
-``fused_estep_batch``
-    The production path.  Fully vectorised: one gather, one fused
-    forward/backward pass over the whole batch through preallocated
-    :class:`EStepWorkspace` scratch buffers, and ``np.add.at`` scatter
-    updates.  Because the updates are plain in-place scatter-adds on
-    whatever arrays are passed in, the HOGWILD shared-memory path
-    (:mod:`repro.embedding.hogwild`) runs this exact kernel against its
-    ``multiprocessing.shared_memory`` views.
+:func:`fused_estep_batch` is fully vectorised: one gather, one fused
+forward/backward pass over the whole batch through preallocated
+:class:`EStepWorkspace` scratch buffers, and ``np.add.at`` scatter
+updates.  Because the updates are plain in-place scatter-adds on
+whatever arrays are passed in, the HOGWILD shared-memory path
+(:mod:`repro.embedding.hogwild`) runs this exact kernel against its
+``multiprocessing.shared_memory`` views.
 
-``reference_estep_batch``
-    The oracle.  A deliberately scalar per-pair (and per-negative)
-    Python loop that transcribes Eqs. 21-25 term by term.  It is slow
-    and exists so the fused path has something independent to be proven
-    against: ``tests/kernel_parity/`` runs finite-difference gradient
-    checks against it and asserts fused-vs-reference parity on random
-    batches and whole training trajectories.
-
-Both kernels implement *batch-stale* semantics — every gradient in a
+The kernel implements *batch-stale* semantics — every gradient in a
 batch is computed from the parameter values at batch entry, and writes
 accumulate via scatter-add (repeated rows add up) — which is the
 standard minibatch vectorisation of the paper's per-sample SGD.  The
-triad pseudo-labels ``y^t`` (Eq. 15) are treated as constants by both
-(no gradient flows through them, per Eq. 21), and are computed by the
-matching :func:`batch_triad_labels` / :func:`reference_batch_triad_labels`
-pair so the label source can be differentially tested on its own.
+triad pseudo-labels ``y^t`` (Eq. 15) are constants (no gradient flows
+through them, per Eq. 21) computed by :func:`batch_triad_labels`.  The
+skip-gram-with-negative-sampling step shared by the LINE and node2vec
+baselines is :func:`fused_sgns_batch` (:class:`SgnsWorkspace` buffers).
 
-The skip-gram-with-negative-sampling step shared by the LINE and
-node2vec baselines gets the same treatment:
-:func:`fused_sgns_batch` (production, :class:`SgnsWorkspace` buffers)
-and :func:`reference_sgns_batch` (scalar oracle).
+The differential-testing harness in ``tests/kernel_parity/`` holds a
+scalar per-pair oracle for each kernel, transcribing Eqs. 21-25 term by
+term, and proves the fused kernels against it and against
+finite-difference gradients of :func:`estep_batch_loss`.
 
 Math -> code mapping (see ``docs/performance.md`` for the full table):
 
@@ -50,7 +40,6 @@ Eq. 25    ``grad_n_k = sigma(m·n_k) m``
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -101,20 +90,8 @@ def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _sigmoid_scalar(x: float) -> float:
-    return 1.0 / (1.0 + math.exp(-min(max(x, -_SIG_CLIP), _SIG_CLIP)))
-
-
 def _safe_log(x: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(x, _LOG_FLOOR))
-
-
-def _log_scalar(x: float) -> float:
-    return math.log(max(x, _LOG_FLOOR))
-
-
-def _cross_entropy_scalar(p: float, y: float) -> float:
-    return -(y * _log_scalar(p) + (1.0 - y) * _log_scalar(1.0 - p))
 
 
 def _scatter_add(
@@ -132,7 +109,7 @@ def _scatter_add(
     Bit-compatibility: the flat index enumerates elements in exactly the
     row-major order the 2-D form applies them, and every element is
     still one scalar in-place add, so results are bitwise identical to
-    ``np.add.at`` (and to the sequential reference loop).
+    ``np.add.at`` (and to a sequential per-row loop).
     """
     if not target.flags.c_contiguous:
         # reshape(-1) on a non-contiguous target would copy and the
@@ -190,35 +167,6 @@ def batch_triad_labels(
     labels = np.where(
         valid, np.add.reduce(votes, axis=1) / np.maximum(counts, 1), 0.5
     )
-    return labels, valid
-
-
-def reference_batch_triad_labels(
-    M: np.ndarray,
-    w_prime: np.ndarray,
-    b_prime: float,
-    uw: np.ndarray,
-    vw: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar-loop oracle for :func:`batch_triad_labels`."""
-    batch, gamma = uw.shape
-    labels = np.full(batch, 0.5)
-    valid = np.zeros(batch, dtype=bool)
-    for i in range(batch):
-        votes = 0.0
-        count = 0
-        for j in range(gamma):
-            if uw[i, j] < 0:
-                continue
-            y_uw = _sigmoid_scalar(float(M[uw[i, j]] @ w_prime) + b_prime)
-            y_vw = _sigmoid_scalar(float(M[vw[i, j]] @ w_prime) + b_prime)
-            denom = y_uw + y_vw
-            if denom > _LOG_FLOOR:
-                votes += y_uw / denom
-            count += 1
-        if count > 0:
-            labels[i] = votes / count
-            valid[i] = True
     return labels, valid
 
 
@@ -498,106 +446,6 @@ def fused_estep_batch(
     )
 
 
-def reference_estep_batch(
-    M: np.ndarray,
-    N: np.ndarray,
-    w_prime: np.ndarray,
-    b_prime: float,
-    e: np.ndarray,
-    successor: np.ndarray,
-    negatives: np.ndarray,
-    y_label: np.ndarray,
-    is_labeled: np.ndarray,
-    is_undirected: np.ndarray,
-    y_degree: np.ndarray,
-    y_triad: np.ndarray | None,
-    triad_valid: np.ndarray | None,
-    *,
-    alpha: float,
-    beta: float,
-    degree_threshold: float,
-    grad_clip: float,
-    lr: float,
-    workspace: EStepWorkspace | None = None,
-) -> BatchLoss:
-    """Scalar per-pair oracle for :func:`fused_estep_batch`.
-
-    Same signature, same batch-stale semantics (all rows are snapshotted
-    before any write), but every pair — and every negative inside a pair
-    — is processed by an explicit Python loop transcribing Eqs. 21-25.
-    ``workspace`` is accepted and ignored so call sites can switch
-    kernels without branching.
-    """
-    del workspace
-    batch, n_negative = negatives.shape
-    m0 = np.array(M[e], copy=True)
-    n_pos0 = np.array(N[successor], copy=True)
-    n_neg0 = np.array(N[negatives], copy=True)
-    w0 = np.array(w_prime, copy=True)
-
-    loss_topo = np.zeros(batch)
-    loss_label = np.zeros(batch)
-    loss_pattern = np.zeros(batch)
-    grad_w_acc = np.zeros_like(w0)
-    error_sum = 0.0
-
-    for i in range(batch):
-        m_i = m0[i]
-        n_i = n_pos0[i]
-
-        # L_topo (Eqs. 20, 23-25), one negative at a time.
-        pos = _sigmoid_scalar(float(m_i @ n_i))
-        grad_m = (pos - 1.0) * n_i
-        N[successor[i]] -= lr * ((pos - 1.0) * m_i)
-        topo_i = -_log_scalar(pos)
-        for k in range(n_negative):
-            n_k = n_neg0[i, k]
-            s = _sigmoid_scalar(float(m_i @ n_k))
-            grad_m = grad_m + s * n_k
-            N[negatives[i, k]] -= lr * (s * m_i)
-            topo_i -= _log_scalar(1.0 - s)
-        loss_topo[i] = topo_i
-
-        # Supervised error scalar (Eq. 21) against the batch-entry w'.
-        prediction = _sigmoid_scalar(float(m_i @ w0) + b_prime)
-        error = 0.0
-        if alpha > 0 and is_labeled[i]:
-            error += alpha * (prediction - float(y_label[i]))
-            loss_label[i] = alpha * _cross_entropy_scalar(
-                prediction, float(y_label[i])
-            )
-        if beta > 0 and y_triad is not None and is_undirected[i]:
-            if float(y_degree[i]) > degree_threshold:
-                error += beta * (prediction - float(y_degree[i]))
-                loss_pattern[i] += beta * _cross_entropy_scalar(
-                    prediction, float(y_degree[i])
-                )
-            if triad_valid[i]:
-                error += beta * (prediction - float(y_triad[i]))
-                loss_pattern[i] += beta * _cross_entropy_scalar(
-                    prediction, float(y_triad[i])
-                )
-        error = min(max(error, -grad_clip), grad_clip)
-
-        # Apply (Eqs. 22-23): scatter writes accumulate repeated rows.
-        grad_m = grad_m + error * w0
-        M[e[i]] -= lr * grad_m
-        grad_w_acc += error * m_i
-        error_sum += error
-
-    w_prime -= lr * grad_w_acc
-    topo = float(loss_topo.mean())
-    label = float(loss_label.mean())
-    pattern = float(loss_pattern.mean())
-    return BatchLoss(
-        total=topo + label + pattern,
-        topo=topo,
-        label=label,
-        pattern=pattern,
-        b_prime=b_prime - lr * error_sum,
-    )
-
-
 def estep_batch_loss(
     M: np.ndarray,
     N: np.ndarray,
@@ -743,37 +591,3 @@ def fused_sgns_batch(
     ws.grad_c_all *= -lr
     _scatter_add(ctx, ws.idx_c, ws.grad_c_all)
     return loss
-
-
-def reference_sgns_batch(
-    emb: np.ndarray,
-    ctx: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    negs: np.ndarray,
-    lr: float,
-    workspace: SgnsWorkspace | None = None,
-    compute_loss: bool = True,
-) -> float:
-    """Scalar per-pair oracle for :func:`fused_sgns_batch`."""
-    del workspace, compute_loss
-    batch, n_negative = negs.shape
-    eu0 = np.array(emb[u], copy=True)
-    cv0 = np.array(ctx[v], copy=True)
-    cn0 = np.array(ctx[negs], copy=True)
-    loss_sum = 0.0
-    for i in range(batch):
-        e_i = eu0[i]
-        c_i = cv0[i]
-        pos = _sigmoid_scalar(float(e_i @ c_i))
-        grad_u = (pos - 1.0) * c_i
-        ctx[v[i]] -= lr * ((pos - 1.0) * e_i)
-        loss_sum += -_log_scalar(pos)
-        for k in range(n_negative):
-            c_k = cn0[i, k]
-            s = _sigmoid_scalar(float(e_i @ c_k))
-            grad_u = grad_u + s * c_k
-            ctx[negs[i, k]] -= lr * (s * e_i)
-            loss_sum += -_log_scalar(1.0 - s)
-        emb[u[i]] -= lr * grad_u
-    return loss_sum / batch

@@ -14,28 +14,19 @@ the BFS/DFS interpolation.
 
 from __future__ import annotations
 
-import dataclasses
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from ..graph import MixedSocialNetwork
-from ..obs import (
-    CallbackList,
-    MetricsRegistry,
-    RunInfo,
-    TrainerCallback,
-    record_worker_stats,
-    span,
-)
-from ..obs.health import HealthMonitor, maybe_poison
+from ..obs import TrainerCallback, span
+from ..obs.health import HealthMonitor
 from ..utils import check_positive, ensure_rng
-from .hogwild import run_hogwild, should_degrade
-from .kernels import SgnsWorkspace, fused_sgns_batch, reference_sgns_batch
-from .samplers import AliasSampler, planned_batches, uniform_indices
+from .hogwild import ShardTask, train
+from .kernels import SgnsWorkspace, fused_sgns_batch
+from .samplers import AliasSampler, PairPlanner, planned_batches
 
 
 @dataclass(frozen=True)
@@ -47,15 +38,12 @@ class Node2VecConfig:
     (endpoint concatenation doubles the tie-feature size).  Walk
     generation is always sequential; ``workers > 1`` parallelises only
     the skip-gram SGD over shared-memory buffers (HOGWILD, see
-    ``docs/performance.md``), while ``workers=1`` keeps the bit-identical
-    sequential seeded path.  ``min_pairs_per_worker`` is the adaptive-
-    degradation floor: a per-worker sample budget below it drops the run
-    back to the sequential path with a ``RuntimeWarning`` (``0``
+    ``docs/performance.md``), while ``workers=1`` trains in-process,
+    bit-identical under a fixed seed.  ``min_pairs_per_worker`` is the
+    adaptive-degradation floor: a per-worker sample budget below it
+    drops the run back to one worker with a ``RuntimeWarning`` (``0``
     disables the gate).  ``dtype`` selects ``"float64"`` (default) or
-    ``"float32"`` embedding precision.  ``kernel`` selects the skip-gram
-    batch kernel — ``"fused"`` (vectorised, preallocated buffers) or
-    ``"reference"`` (the scalar per-pair oracle from
-    :mod:`repro.embedding.kernels`).
+    ``"float32"`` embedding precision.
     """
 
     dimensions: int = 64
@@ -71,7 +59,6 @@ class Node2VecConfig:
     workers: int = 1
     min_pairs_per_worker: int = 50_000
     dtype: str = "float64"
-    kernel: str = "fused"
 
     def __post_init__(self) -> None:
         if self.dimensions < 1:
@@ -96,11 +83,6 @@ class Node2VecConfig:
             raise ValueError(
                 "dtype must be 'float64' or 'float32', got "
                 f"{self.dtype!r}"
-            )
-        if self.kernel not in ("fused", "reference"):
-            raise ValueError(
-                "kernel must be 'fused' or 'reference', got "
-                f"{self.kernel!r}"
             )
 
 
@@ -209,7 +191,6 @@ class Node2VecEmbedding:
     ) -> Node2VecResult:
         cfg = self.config
         rng = ensure_rng(seed)
-        cb = CallbackList(callbacks)
 
         walk_start = time.perf_counter()
         with span(
@@ -243,214 +224,75 @@ class Node2VecEmbedding:
         total = int(cfg.epochs * len(centers))
         n_batches = max(1, -(-total // cfg.batch_size))
 
-        workers = cfg.workers
-        degraded = should_degrade(
-            workers, n_batches * cfg.batch_size, cfg.min_pairs_per_worker
-        )
-        if degraded:
-            warnings.warn(
-                f"workers={workers} degraded to sequential: "
-                f"{n_batches * cfg.batch_size} samples gives "
-                f"{n_batches * cfg.batch_size // workers} per worker, below "
-                f"min_pairs_per_worker={cfg.min_pairs_per_worker} "
-                "(set min_pairs_per_worker=0 to force workers)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            MetricsRegistry().counter("hogwild.degraded").inc()
-            workers = 1
-
-        run = RunInfo(
+        hog = train(
+            _Node2VecTask(
+                config=cfg,
+                # Samples continue ``rng`` past the walks and the init.
+                planner=PairPlanner(centers, contexts, sampler,
+                                    cfg.n_negative, rng, "node2vec.sample"),
+            ),
+            {"emb": emb, "ctx": ctx},
             trainer="node2vec",
-            total_batches=n_batches,
-            batch_size=cfg.batch_size,
-            config=dataclasses.asdict(cfg),
-        )
-        fit_start = time.perf_counter()
-        if cb:
-            fit_begin_logs = {
+            phase="node2vec",
+            n_batches=n_batches,
+            rng=rng,
+            counter_names=("negative_draws",),
+            callbacks=callbacks,
+            log_every=log_every,
+            pairs_per_epoch=len(centers),
+            health=health,
+            begin_logs={
                 "n_walks": len(walks),
                 "n_corpus_pairs": len(centers),
                 "walk_setup_s": walk_seconds,
-                "workers": workers,
-            }
-            if degraded:
-                fit_begin_logs["hogwild_degraded"] = True
-                fit_begin_logs["requested_workers"] = cfg.workers
-            cb.on_fit_begin(run, fit_begin_logs)
-
-        def draw(n_plan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """Corpus pairs and negatives of the next ``n_plan`` samples.
-
-            Each sample consumes ``1 + λ`` uniforms of ``rng`` in order,
-            so any split of the run into draws gives the same samples.
-            """
-            with span("node2vec.sample", samples=n_plan, planned=True):
-                u = rng.random((n_plan, 1 + cfg.n_negative))
-                picks = uniform_indices(u[:, 0], len(centers))
-                return centers[picks], contexts[picks], sampler.pick(u[:, 1:])
-
-        if workers > 1:
-            # Plan the whole run in the parent; workers slice batches
-            # copy-on-write and never touch an RNG.
-            plan_u, plan_v, plan_negs = draw(n_batches * cfg.batch_size)
-            task = _HogwildNode2VecTask(
-                config=cfg, u=plan_u, v=plan_v, negs=plan_negs
-            )
-            with span("node2vec.hogwild", workers=workers):
-                hog = run_hogwild(
-                    task,
-                    {"emb": emb, "ctx": ctx},
-                    n_batches=n_batches,
-                    batch_size=cfg.batch_size,
-                    workers=workers,
-                    rng=rng,
-                    lr0=cfg.learning_rate,
-                    counter_names=(),
-                    callbacks=cb,
-                    run=run,
-                    log_every=log_every,
-                    health=health,
-                )
-            if cb:
-                duration = time.perf_counter() - fit_start
-                worker_logs = record_worker_stats(
-                    MetricsRegistry(), hog.worker_stats, ()
-                )
-                cb.on_fit_end(
-                    run,
-                    {
-                        "n_samples_trained": hog.pairs_trained,
-                        **worker_logs,
-                        "negative_draws": sampler.n_draws,
-                        "duration_s": duration,
-                        "workers": workers,
-                    },
-                )
-            return Node2VecResult(
-                node_embeddings=hog.arrays["emb"],
-                n_walks=len(walks),
-                loss_history=hog.loss_history,
-            )
-
-        kernel = (fused_sgns_batch if cfg.kernel == "fused"
-                  else reference_sgns_batch)
-        workspace = SgnsWorkspace()
-        history: list[tuple[int, float]] = []
-        health_arrays = {"emb": emb, "ctx": ctx}
-        # Samples come in byte-bounded segments of whole batches, sliced
-        # zero-copy per batch.
-        batches = planned_batches(
-            draw, n_batches, cfg.batch_size,
-            centers.itemsize + contexts.itemsize
-            + cfg.n_negative * np.dtype(np.int64).itemsize,
+            },
         )
-        with span("node2vec.train", n_batches=n_batches,
-                  batch_size=cfg.batch_size):
-            for batch_idx, (u, v, negs) in enumerate(batches):
-                lr = cfg.learning_rate * max(
-                    1.0 - batch_idx / n_batches, 0.01
-                )
-
-                # The loss is not a by-product of the update, so the
-                # kernel only evaluates it when a consumer wants it.
-                want_loss = (bool(cb) or health is not None
-                             or batch_idx % log_every == 0)
-                if health is not None:
-                    maybe_poison(batch_idx, health_arrays)
-                loss = kernel(emb, ctx, u, v, negs, lr,
-                              workspace=workspace, compute_loss=want_loss)
-                if health is not None:
-                    health.observe_batch(
-                        batch_idx, {"L": float(loss)}, arrays=health_arrays
-                    )
-                    if cb and batch_idx % log_every == 0:
-                        cb.on_event(run, "health", health.event_payload())
-                if want_loss:
-                    if batch_idx % log_every == 0:
-                        history.append(
-                            (batch_idx * cfg.batch_size, float(loss))
-                        )
-                    if cb:
-                        samples = (batch_idx + 1) * cfg.batch_size
-                        elapsed = time.perf_counter() - fit_start
-                        cb.on_batch_end(
-                            run,
-                            batch_idx,
-                            {
-                                "L": float(loss),
-                                "lr": lr,
-                                "pairs": samples,
-                                "pairs_per_sec": samples / max(elapsed, 1e-9),
-                            },
-                        )
-
-        if cb:
-            duration = time.perf_counter() - fit_start
-            cb.on_fit_end(
-                run,
-                {
-                    "n_samples_trained": n_batches * cfg.batch_size,
-                    "negative_draws": sampler.n_draws,
-                    "duration_s": duration,
-                },
-            )
-
         return Node2VecResult(
-            node_embeddings=emb, n_walks=len(walks), loss_history=history
+            node_embeddings=hog.arrays["emb"],
+            n_walks=len(walks),
+            loss_history=hog.loss_history,
         )
 
 
 @dataclass
-class _HogwildNode2VecTask:
-    """Picklable skip-gram payload for the shared-memory backend.
+class _Node2VecTask(ShardTask):
+    """The skip-gram half of node2vec as a
+    :class:`~repro.embedding.hogwild.HogwildTask`.
 
-    Walks were already generated sequentially in the parent, and so were
-    all (center, context, negatives) samples — one mega-draw per run —
-    so workers slice their batches out of the shared (copy-on-write)
-    plan arrays and never touch an RNG.
+    Walks were generated sequentially in the parent; ``setup`` moves the
+    planner's stream to the shard's first sample and draws the shard's
+    (center, context, negatives) plan lazily, segment by segment.
     """
 
     config: Node2VecConfig
-    u: np.ndarray
-    v: np.ndarray
-    negs: np.ndarray
-    #: Global index of the first batch held by this payload's arrays.
-    batch_offset: int = 0
-
-    def shard(self, start: int, stop: int) -> "_HogwildNode2VecTask":
-        """Payload for one worker: samples of batches ``start..stop-1``."""
-        lo = start * self.config.batch_size
-        hi = stop * self.config.batch_size
-        return dataclasses.replace(
-            self, u=self.u[lo:hi], v=self.v[lo:hi], negs=self.negs[lo:hi],
-            batch_offset=start,
-        )
+    planner: PairPlanner
 
     def setup(
         self, arrays: dict[str, np.ndarray], rng: np.random.Generator
-    ) -> SgnsWorkspace:
-        return SgnsWorkspace()
+    ) -> tuple:
+        batch_size = self.config.batch_size
+        planner = self.planner.skipped(self.start * batch_size)
+        batches = planned_batches(
+            planner.draw, self.stop - self.start, batch_size,
+            planner.bytes_per_pair,
+        )
+        return planner, batches, SgnsWorkspace()
 
     def step(
         self,
-        state: SgnsWorkspace,
+        state: tuple,
         arrays: dict[str, np.ndarray],
         batch_idx: int,
         lr: float,
         rng: np.random.Generator,
     ) -> float:
-        cfg = self.config
-        maybe_poison(batch_idx, arrays)
-        kernel = (fused_sgns_batch if cfg.kernel == "fused"
-                  else reference_sgns_batch)
-        lo = (batch_idx - self.batch_offset) * cfg.batch_size
-        hi = lo + cfg.batch_size
-        u, v, negs = self.u[lo:hi], self.v[lo:hi], self.negs[lo:hi]
-        return float(
-            kernel(arrays["emb"], arrays["ctx"], u, v, negs, lr,
-                   workspace=state)
-        )
+        _, batches, workspace = state
+        u, v, negs = next(batches)
+        # The loss is not a by-product of the update, so the kernel only
+        # evaluates it when a consumer wants it.
+        return fused_sgns_batch(arrays["emb"], arrays["ctx"], u, v, negs,
+                                lr, workspace=workspace,
+                                compute_loss=self.wants_loss(batch_idx))
 
-    def counters(self, state: SgnsWorkspace) -> tuple[int, ...]:
-        return ()
+    def counters(self, state: tuple) -> tuple[int, ...]:
+        return (state[0].noise.n_draws,)

@@ -15,22 +15,26 @@ Two sampling paths share the machinery:
   :meth:`~ConnectedPairSampler.sample_negatives`) draws one batch at a
   time, and
 * the **planned path** (:class:`SamplePlanner` → :class:`SamplePlan`)
-  draws an entire epoch's worth of pairs, successors and negatives in
-  three vectorized mega-draws (filled one row block at a time), then
-  hands zero-copy per-batch views to the kernels.  Each mega-draw
-  consumes exactly one uniform double per sampled element from a
+  draws a whole segment of pairs, successors and negatives in three
+  vectorized mega-draws (filled one row block at a time), then hands
+  zero-copy per-batch views to the kernels.  Each mega-draw consumes
+  exactly one uniform double per sampled element from a
   category-separated child stream, so the draws are *plan-granularity
   invariant*: planning a run in one mega-plan or in many small chunks
   produces bit-identical samples.
 
-The sequential trainers (DeepDirect, LINE, node2vec) walk their plans
-through :func:`planned_batches`, which draws one segment of at most
+Every trainer (DeepDirect, LINE, node2vec) walks its plan through
+:func:`planned_batches`, which draws one segment of at most
 ``_PLAN_SEGMENT_BYTES`` at a time, so a fit's plan memory is bounded
-whatever its pair budget.
+whatever its pair budget.  A shard of the schedule that starts ``k``
+pairs in moves its streams ``k`` pairs ahead first (:func:`advanced`),
+so a HOGWILD worker draws exactly the sequential run's samples for its
+own batches.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from typing import Callable, Iterator
 
@@ -345,30 +349,6 @@ class SamplePlan:
         hi = min(lo + self.batch_size, self.n_pairs)
         return self.e[lo:hi], self.successor[lo:hi], self.negatives[lo:hi]
 
-    def slice_batches(self, start: int, stop: int) -> "SamplePlan":
-        """Zero-copy sub-plan covering batches ``start .. stop - 1``.
-
-        This is how the HOGWILD parent hands each worker a *contiguous*
-        slice of the schedule: the returned plan's arrays are views of
-        this plan's (one contiguous tie-id range of the backing store),
-        so a forked worker shares the pages and a spawned worker pickles
-        only its own slice.  Batch ``i`` of the sub-plan is batch
-        ``start + i`` of this plan.
-        """
-        if not 0 <= start <= stop <= self.n_batches:
-            raise IndexError(
-                f"batches [{start}, {stop}) out of range for plan with "
-                f"{self.n_batches} batches"
-            )
-        lo = start * self.batch_size
-        hi = min(stop * self.batch_size, self.n_pairs)
-        return SamplePlan(
-            self.e[lo:hi],
-            self.successor[lo:hi],
-            self.negatives[lo:hi],
-            self.batch_size,
-        )
-
 
 class SamplePlanner:
     """Epoch-scale sample planning over a :class:`ConnectedPairSampler`.
@@ -385,9 +365,9 @@ class SamplePlanner:
     negatives), and every draw consumes exactly one uniform double per
     element in schedule order.  Planning ``N`` pairs in one call or in
     any sequence of chunks totalling ``N`` therefore yields bit-identical
-    samples, which is what lets the sequential path plan in byte-bounded
-    segments while the HOGWILD parent plans the entire run up front —
-    same trajectory semantics, same draws.
+    samples, which is what lets every trainer plan in byte-bounded
+    segments, and a shard of the schedule start from :meth:`skipped`
+    streams — same trajectory semantics, same draws.
     """
 
     def __init__(
@@ -408,6 +388,15 @@ class SamplePlanner:
         """Plan bytes per pair: its tie id, successor and negatives."""
         itemsize = _index_dtype(self.sampler.network.n_ties).itemsize
         return (2 + self.n_negative) * itemsize
+
+    def skipped(self, n_pairs: int) -> "SamplePlanner":
+        """A planner over the same sampler whose streams start ``n_pairs``
+        pairs further on; this planner's streams are left untouched."""
+        out = copy.copy(self)
+        out._pair_rng = advanced(self._pair_rng, n_pairs)
+        out._succ_rng = advanced(self._succ_rng, n_pairs)
+        out._neg_rng = advanced(self._neg_rng, n_pairs * self.n_negative)
+        return out
 
     def draw(self, n_pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(e, successor, negatives)`` of the next ``n_pairs`` pairs,
@@ -446,6 +435,73 @@ class SamplePlanner:
                 )
         self.n_plans += 1
         return SamplePlan(e, successor, negatives, batch_size)
+
+
+class PairPlanner:
+    """Skip-gram samples ``(u, v, negatives)``, LINE's and node2vec's plan.
+
+    Each sample consumes ``1 + λ`` uniforms of ``stream`` in order: the
+    first picks a row of the ``(u, v)`` pair table uniformly, the other
+    ``λ`` pick negatives from ``noise``.  Any split of a run into draws
+    therefore gives the same samples, and :meth:`skipped` starts a shard
+    of the schedule mid-stream.
+    """
+
+    def __init__(
+        self,
+        u: np.ndarray,
+        v: np.ndarray,
+        noise: AliasSampler,
+        n_negative: int,
+        stream: np.random.Generator,
+        span_name: str,
+    ) -> None:
+        self.u, self.v, self.noise = u, v, noise
+        self.n_negative = int(n_negative)
+        self.stream = stream
+        self.span_name = span_name
+
+    @property
+    def bytes_per_pair(self) -> int:
+        """Plan bytes per sample: its pair and its int64 negatives."""
+        return (self.u.itemsize + self.v.itemsize
+                + self.n_negative * np.dtype(np.int64).itemsize)
+
+    def skipped(self, n_samples: int) -> "PairPlanner":
+        """A planner whose stream starts ``n_samples`` samples further on;
+        this planner's stream is left untouched."""
+        out = copy.copy(self)
+        out.stream = advanced(self.stream, n_samples * (1 + self.n_negative))
+        return out
+
+    def draw(self, n_plan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pairs and negatives of the next ``n_plan`` samples, the
+        ``draw`` of :func:`planned_batches`."""
+        with trace_span(self.span_name, samples=n_plan, planned=True):
+            u = self.stream.random((n_plan, 1 + self.n_negative))
+            picks = uniform_indices(u[:, 0], len(self.u))
+            return self.u[picks], self.v[picks], self.noise.pick(u[:, 1:])
+
+
+def advanced(rng: np.random.Generator, n_doubles: int) -> np.random.Generator:
+    """A copy of ``rng`` moved ``n_doubles`` uniform doubles ahead.
+
+    Every planned element takes one ``random()`` double, so a shard that
+    starts ``k`` elements into a stream draws elements ``k, k+1, …`` of
+    one long draw.  PCG64-family generators jump there exactly
+    (``advance`` steps one 64-bit output per double); the others
+    (``MT19937`` and ``SFC64`` have no ``advance``, ``Philox`` advances
+    in 4-output blocks) draw the skipped doubles in row blocks and drop
+    them.
+    """
+    out = copy.deepcopy(rng)
+    bit_generator = out.bit_generator
+    if isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        bit_generator.advance(n_doubles)
+    else:
+        for rows in row_blocks(n_doubles):
+            out.random(rows.stop - rows.start)
+    return out
 
 
 def planned_batches(

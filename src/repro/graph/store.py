@@ -344,11 +344,16 @@ class _TieStoreBase:
         return self._key_order
 
     def tie_degrees(self) -> np.ndarray:
-        """``deg_tie(e) = |c(e)|``: out-tie count of dst(e) minus the back-tie."""
+        """``deg_tie(e) = |c(e)|``: out-tie count of dst(e) minus the back-tie.
+
+        Held at the tie-index dtype: a tie degree is below ``n_ties``.
+        Consumers that sum it (``connected_pair_count``) accumulate in
+        int64, and the samplers scale it as float.
+        """
         if self._tie_degrees is None:
             offsets, _ = self.out_csr()
             out_counts = np.diff(offsets)
-            deg = out_counts[self._tie_dst].astype(np.int64)
+            deg = out_counts[self._tie_dst].astype(TIE_INDEX_DTYPE)
             # The reverse orientation is materialised for every tie
             # kind, so the back-tie (dst, src) always exists.
             deg -= 1

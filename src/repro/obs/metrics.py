@@ -320,23 +320,16 @@ _WORKER_GAUGE_KEYS = ("pairs", "batches", "pairs_per_sec", "heartbeat_age_s")
 def record_worker_stats(
     metrics: "MetricsRegistry",
     worker_stats: "list[dict[str, float]]",
-    counter_names: "tuple[str, ...]" = (),
 ) -> "dict[str, float | int]":
     """Fold per-worker HOGWILD stats into ``metrics``.
 
-    Counters named in ``counter_names`` are merged (summed) across
-    workers; every worker additionally contributes a legacy
-    ``worker<i>_pairs_per_sec`` gauge plus the structured
-    ``hogwild.worker.<i>.*`` gauges (pairs, batches, throughput,
-    heartbeat age), and the fleet-level :func:`hogwild_aggregates`
-    gauges.  Returns everything as one flat dict, ready to splat into
-    an ``on_fit_end`` log payload.
+    Every worker contributes a legacy ``worker<i>_pairs_per_sec`` gauge
+    plus the structured ``hogwild.worker.<i>.*`` gauges (pairs,
+    batches, throughput, heartbeat age), and the fleet-level
+    :func:`hogwild_aggregates` gauges.  Returns everything as one flat
+    dict, ready to splat into an ``on_fit_end`` log payload.
     """
     merged: dict[str, float | int] = {}
-    for name in counter_names:
-        counter = metrics.counter(name)
-        counter.inc(sum(int(stats.get(name, 0)) for stats in worker_stats))
-        merged[name] = counter.value
     for i, stats in enumerate(worker_stats):
         gauge = metrics.gauge(f"worker{i}_pairs_per_sec")
         gauge.set(stats.get("pairs_per_sec", 0.0))

@@ -19,9 +19,6 @@ from repro.embedding.kernels import (
     batch_triad_labels,
     fused_estep_batch,
     fused_sgns_batch,
-    reference_batch_triad_labels,
-    reference_estep_batch,
-    reference_sgns_batch,
 )
 
 from .problems import (
@@ -29,6 +26,11 @@ from .problems import (
     make_sgns_problem,
     run_estep_kernel,
     run_sgns_kernel,
+)
+from .reference import (
+    reference_batch_triad_labels,
+    reference_estep_batch,
+    reference_sgns_batch,
 )
 
 LR = 0.02

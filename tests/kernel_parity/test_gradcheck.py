@@ -20,13 +20,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.embedding.kernels import (
-    estep_batch_loss,
-    fused_estep_batch,
-    reference_estep_batch,
-)
+from repro.embedding.kernels import estep_batch_loss, fused_estep_batch
 
 from .problems import make_estep_problem, run_estep_kernel
+from .reference import reference_estep_batch
 
 KERNELS = {
     "fused": fused_estep_batch,

@@ -1,10 +1,12 @@
-"""Whole-``fit`` equivalence between ``kernel="fused"`` and ``"reference"``.
+"""Whole-``fit`` equivalence between the fused kernels and the oracles.
 
 Unit parity proves one batch matches; these tests prove the integration:
-over a complete training run on a small registry preset, both kernels
-see identical samples (all RNG draws happen outside the kernels), so
-the loss trajectories and final parameters may differ only by
-floating-point summation order compounded across batches.
+over a complete training run on a small registry preset, a fit is run
+once as shipped and once with the trainer module's kernel binding
+patched to the scalar oracle of :mod:`.reference`.  Both see identical
+samples (all RNG draws happen outside the kernels), so the loss
+trajectories and final parameters may differ only by floating-point
+summation order compounded across batches.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.embedding.deepdirect as deepdirect
+import repro.embedding.line as line
+import repro.embedding.node2vec as node2vec
 from repro.datasets import hide_directions, load_dataset
 from repro.embedding import (
     DeepDirectConfig,
@@ -24,8 +29,28 @@ from repro.embedding import (
     Node2VecEmbedding,
 )
 
+from .reference import reference_estep_batch, reference_sgns_batch
+
 RTOL = 1e-6
 ATOL = 1e-8
+
+
+#: Each trainer module's kernel binding and the oracle that replaces it.
+ORACLES = {
+    deepdirect: ("fused_estep_batch", reference_estep_batch),
+    line: ("fused_sgns_batch", reference_sgns_batch),
+    node2vec: ("fused_sgns_batch", reference_sgns_batch),
+}
+
+
+def _fit_both(monkeypatch, module, fit) -> dict:
+    """``fit()`` on the fused kernel, then on the module's oracle."""
+    results = {"fused": fit()}
+    name, oracle = ORACLES[module]
+    with monkeypatch.context() as patched:
+        patched.setattr(module, name, oracle)
+        results["reference"] = fit()
+    return results
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +62,7 @@ def preset_network():
     ).network
 
 
-def test_deepdirect_loss_trajectory(preset_network) -> None:
+def test_deepdirect_loss_trajectory(preset_network, monkeypatch) -> None:
     base = DeepDirectConfig(
         dimensions=8,
         epochs=1.0,
@@ -47,12 +72,8 @@ def test_deepdirect_loss_trajectory(preset_network) -> None:
         batch_size=128,
         max_pairs=4_000,
     )
-    results = {}
-    for kernel in ("fused", "reference"):
-        cfg = dataclasses.replace(base, kernel=kernel)
-        results[kernel] = DeepDirectEmbedding(cfg).fit(
-            preset_network, seed=42, log_every=5
-        )
+    results = _fit_both(monkeypatch, deepdirect, lambda: DeepDirectEmbedding(
+        base).fit(preset_network, seed=42, log_every=5))
     fused, ref = results["fused"], results["reference"]
 
     assert fused.n_pairs_trained == ref.n_pairs_trained
@@ -98,17 +119,13 @@ def test_deepdirect_trajectory_is_nontrivial(preset_network) -> None:
     assert np.any(result.classifier_weights != 0.0)
 
 
-def test_line_loss_trajectory(preset_network) -> None:
+def test_line_loss_trajectory(preset_network, monkeypatch) -> None:
     base = LineConfig(
         dimensions=8, epochs=1.0, n_negative=3, batch_size=128,
         max_samples=3_000,
     )
-    results = {}
-    for kernel in ("fused", "reference"):
-        cfg = dataclasses.replace(base, kernel=kernel)
-        results[kernel] = LineEmbedding(cfg).fit(
-            preset_network, seed=7, log_every=5
-        )
+    results = _fit_both(monkeypatch, line, lambda: LineEmbedding(base).fit(
+        preset_network, seed=7, log_every=5))
     fused, ref = results["fused"], results["reference"]
     assert len(fused.loss_history) == len(ref.loss_history)
     f_losses = [loss for _, loss in fused.loss_history]
@@ -119,17 +136,13 @@ def test_line_loss_trajectory(preset_network) -> None:
     )
 
 
-def test_node2vec_loss_trajectory(preset_network) -> None:
+def test_node2vec_loss_trajectory(preset_network, monkeypatch) -> None:
     base = Node2VecConfig(
         dimensions=8, walk_length=10, walks_per_node=2, window=3,
         n_negative=3, batch_size=128, epochs=0.05,
     )
-    results = {}
-    for kernel in ("fused", "reference"):
-        cfg = dataclasses.replace(base, kernel=kernel)
-        results[kernel] = Node2VecEmbedding(cfg).fit(
-            preset_network, seed=7, log_every=5
-        )
+    results = _fit_both(monkeypatch, node2vec, lambda: Node2VecEmbedding(
+        base).fit(preset_network, seed=7, log_every=5))
     fused, ref = results["fused"], results["reference"]
     assert fused.n_walks == ref.n_walks
     assert len(fused.loss_history) == len(ref.loss_history)
@@ -145,7 +158,7 @@ F32_RTOL = 2e-3
 F32_ATOL = 5e-4
 
 
-def test_deepdirect_float32_trajectory(preset_network) -> None:
+def test_deepdirect_float32_trajectory(preset_network, monkeypatch) -> None:
     """float32 fused-vs-reference full fit at loosened tolerances.
 
     The sampling stream is dtype-independent (draws happen in float64
@@ -156,12 +169,8 @@ def test_deepdirect_float32_trajectory(preset_network) -> None:
         dimensions=8, epochs=1.0, alpha=5.0, beta=1.0, n_negative=3,
         batch_size=128, max_pairs=4_000, dtype="float32",
     )
-    results = {}
-    for kernel in ("fused", "reference"):
-        cfg = dataclasses.replace(base, kernel=kernel)
-        results[kernel] = DeepDirectEmbedding(cfg).fit(
-            preset_network, seed=42, log_every=5
-        )
+    results = _fit_both(monkeypatch, deepdirect, lambda: DeepDirectEmbedding(
+        base).fit(preset_network, seed=42, log_every=5))
     fused, ref = results["fused"], results["reference"]
 
     assert fused.embeddings.dtype == np.float32

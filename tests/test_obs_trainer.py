@@ -159,6 +159,43 @@ class TestBaselineEmission:
         assert bare.loss_history == instrumented.loss_history
 
 
+TRAINER_FITS = {
+    "deepdirect": lambda: DeepDirectEmbedding(DeepDirectConfig(
+        dimensions=4, epochs=2.0, batch_size=64, n_negative=3,
+        alpha=0.0, beta=0.0)),
+    "line": lambda: LineEmbedding(LineConfig(
+        dimensions=4, epochs=3.0, batch_size=64, n_negative=3)),
+    "node2vec": lambda: Node2VecEmbedding(Node2VecConfig(
+        dimensions=4, walk_length=5, walks_per_node=1, epochs=2.0,
+        batch_size=64, n_negative=3)),
+}
+
+
+@pytest.mark.parametrize("trainer", sorted(TRAINER_FITS))
+def test_every_trainer_emits_one_telemetry_schema(tiny_task, trainer):
+    """The shared training driver gives all three trainers the same
+    events: per-batch ``L``/``L_ema``, epoch events, and a ``fit_end``
+    that ``repro monitor`` reads ``n_pairs_trained`` from."""
+    sink = InMemorySink()
+    TRAINER_FITS[trainer]().fit(tiny_task.network, seed=0,
+                                callbacks=[sink])
+    (begin,) = sink.of_kind("fit_begin")
+    assert begin["trainer"] == trainer
+    assert begin["workers"] == 1
+    batches = sink.of_kind("batch")
+    assert len(batches) == begin["total_batches"]
+    for event in batches:
+        for field in ("L", "L_ema", "lr", "pairs", "pairs_per_sec"):
+            assert math.isfinite(event[field])
+    epochs = [e["epoch"] for e in sink.of_kind("epoch")]
+    assert epochs == list(range(1, len(epochs) + 1)) and len(epochs) >= 1
+    (end,) = sink.of_kind("fit_end")
+    assert end["n_pairs_trained"] == batches[-1]["pairs"]
+    assert end["L_ema"] == batches[-1]["L_ema"]
+    assert end["negative_draws"] == 3 * end["n_pairs_trained"]
+    assert end["pairs_per_sec"] > 0
+
+
 class TestDStepEvent:
     def test_warm_start_convergence_report(self, tiny_task):
         # The smoke budget (2 epochs, 15k pairs) leaves the E-Step head
